@@ -37,7 +37,7 @@ from .linalg import (
 )
 from .pairs import FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT, SymmetricPair
 from .scalars import ONE, ZERO
-from .sl2 import SL2Triple, jacobson_morozov, sl2_decompose, theta_adapt
+from .sl2 import SL2Triple, sl2_decompose, theta_adapt, verify_triple
 
 Partition = Tuple[int, ...]
 
@@ -107,26 +107,78 @@ def nilpotent_orbit_reps(pair: SymmetricPair) -> List[Tuple[Partition, Vector]]:
     if pair.family not in (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT):
         raise PreconditionError("orbit enumeration unavailable for custom pairs: "
                                 "supply representatives explicitly")
-    n = pair.inner_n
-    reps = []
-    for mu in partitions(n):
-        jm = jordan_matrix(mu)
-        v = pair.algebra.zero_vector()
-        if pair.family == FAMILY_DIAGONAL:
-            for i in range(n):
-                for j in range(n):
-                    c = jm.rows[i][j]
-                    if c:
-                        v[i * n + j] = c
-                        v[n * n + i * n + j] = -c
-        else:
-            for i in range(n):
-                for j in range(n):
-                    c = jm.rows[i][j]
-                    if c:
-                        v[n * n + i * n + j] = c
-        reps.append((mu, v))
-    return reps
+    return [(mu, orbit_rep(pair, mu)) for mu in partitions(pair.inner_n)]
+
+
+def orbit_rep(pair: SymmetricPair, mu: Partition) -> Vector:
+    """The canonical representative of the orbit with Jordan type mu."""
+    return _minus_one_vector(pair, _flatten(jordan_matrix(mu)))
+
+
+def _flatten(m: Matrix) -> Vector:
+    return [e for row in m.rows for e in row]
+
+
+def _plus_one_vector(pair: SymmetricPair, inner: Vector) -> Vector:
+    """(X, X) in the diagonal family, the plain X in the quadratic extension."""
+    if pair.family == FAMILY_DIAGONAL:
+        return inner + inner
+    return inner + [ZERO] * len(inner)
+
+
+def _minus_one_vector(pair: SymmetricPair, inner: Vector) -> Vector:
+    """(X, -X) in the diagonal family, w*X in the quadratic extension."""
+    if pair.family == FAMILY_DIAGONAL:
+        return inner + [-e for e in inner]
+    return [ZERO] * len(inner) + inner
+
+
+def standard_blocks(mu: Partition) -> Tuple[Matrix, Matrix]:
+    """(H, F) completing J_mu to the standard sl2 triple (J_mu, H, F) of gl_n.
+
+    Per block of size m: H = diag(m-1, m-3, ..., 1-m) and
+    F = sum_i i(m-i) E_{i+1,i}, so [H, J] = 2J, [H, F] = -2F, [J, F] = H
+    (Collingwood-McGovern, Nilpotent Orbits in Semisimple Lie Algebras,
+    ch. 3).
+    """
+    n = sum(mu)
+    h_rows = [[ZERO] * n for _ in range(n)]
+    f_rows = [[ZERO] * n for _ in range(n)]
+    offset = 0
+    for m in mu:
+        for i in range(m):
+            h_rows[offset + i][offset + i] = Fraction(m - 1 - 2 * i)
+            if i + 1 < m:
+                f_rows[offset + i + 1][offset + i] = Fraction((i + 1) * (m - 1 - i))
+        offset += m
+    return Matrix(h_rows), Matrix(f_rows)
+
+
+def standard_triple(pair: SymmetricPair, mu: Partition) -> SL2Triple:
+    """Adapted triple over orbit_rep(pair, mu) in closed form, verified.
+
+    diagonal family: h = (H, H), f = (F, -F); quadratic extension: h = H,
+    f = w F / d.  It equals what theta_adapt returns for the same
+    representative, and passes the same relation and eigenspace checks.
+    """
+    if pair.family not in (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT):
+        raise PreconditionError("closed-form triples exist only for built-in families")
+    x = orbit_rep(pair, mu)
+    if is_zero_vector(x):
+        z = tuple(pair.algebra.zero_vector())
+        return SL2Triple(e=z, h=z, f=z, theta_adapted=True, degenerate=True)
+    hm, fm = standard_blocks(mu)
+    f = _flatten(fm)
+    if pair.family == FAMILY_QUADRATIC_EXT:
+        f = [e / pair.disc for e in f]
+    triple = SL2Triple(e=tuple(x), h=tuple(_plus_one_vector(pair, _flatten(hm))),
+                       f=tuple(_minus_one_vector(pair, f)), theta_adapted=True)
+    verify_triple(pair.algebra, triple)
+    if not pair.in_h(list(triple.h)):
+        raise InvariantViolation("closed-form h is not theta-fixed")
+    if not pair.in_gsigma(list(triple.f)):
+        raise InvariantViolation("closed-form f is not theta-antifixed")
+    return triple
 
 
 def inner_nilpotent_matrix(pair: SymmetricPair, x: Vector) -> Matrix:
@@ -177,15 +229,12 @@ def diagonal_trace_identity(n: int, mu: Partition) -> TraceIdentity:
 
 @lru_cache(maxsize=None)
 def _inner_weights_from_spectrum(n: int, mu: Partition) -> Tuple[int, ...]:
-    """Weights of gl_n under the J_mu triple, via kernel-rank spectra."""
+    """Weights of gl_n under the standard J_mu triple, via kernel-rank spectra."""
     g = build_gl(n)
-    jm = jordan_matrix(mu)
-    x = g.zero_vector()
-    for i in range(n):
-        for j in range(n):
-            if jm.rows[i][j]:
-                x[i * n + j] = jm.rows[i][j]
-    triple = jacobson_morozov(g, x)
+    hm, fm = standard_blocks(mu)
+    triple = SL2Triple(e=tuple(_flatten(jordan_matrix(mu))), h=tuple(_flatten(hm)),
+                       f=tuple(_flatten(fm)))
+    verify_triple(g, triple)
     return sl2_decompose(g, triple).weights
 
 
@@ -219,20 +268,28 @@ def speciality_audit(pair: SymmetricPair, x: Vector) -> OrbitAudit:
     Builds the adapted triple, restricts ad(h) to the centralizer of x in
     the +1 space, and fills the trace flags, the quotient spectrum, and
     both weight multisets (spectral and combinatorial) when the pair is a
-    built-in family.
+    built-in family.  The canonical representative of its own Jordan type
+    gets the closed-form standard_triple; every other element is completed
+    by theta_adapt.
     """
-    triple = theta_adapt(pair, x)
+    partition = None
+    w_spec = None
+    w_part = None
+    triple = None
+    if pair.family in (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT):
+        if not pair.in_gsigma(x):
+            raise PreconditionError("element is not in the -1 eigenspace")
+        partition = jordan_type(inner_nilpotent_matrix(pair, x))
+        if list(x) == orbit_rep(pair, partition):
+            triple = standard_triple(pair, partition)
+        w_spec = _inner_weights_from_spectrum(pair.inner_n, partition)
+        w_part = clebsch_gordan_weights(partition)
+    if triple is None:
+        triple = theta_adapt(pair, x)
     hx_basis = pair.centralizer_in(x, pair.h_basis)
     trace = restricted_trace(pair, list(triple.h), hx_basis)
     dim_s = pair.dim_gsigma
     quotient = eigen_check(pair, x, triple, strict=False)
-    partition = None
-    w_spec = None
-    w_part = None
-    if pair.family in (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT):
-        partition = jordan_type(inner_nilpotent_matrix(pair, x))
-        w_spec = _inner_weights_from_spectrum(pair.inner_n, partition)
-        w_part = clebsch_gordan_weights(partition)
     return OrbitAudit(
         partition=partition,
         representative=tuple(x),

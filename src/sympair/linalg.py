@@ -117,19 +117,32 @@ class Matrix:
             raise ShapeError("matmul shape mismatch: %dx%d @ %dx%d"
                              % (self.nrows, self.ncols, other.nrows, other.ncols))
         zero = scalar_zero_like(self.rows[0][0])
-        bt = list(zip(*other.rows))
+        width = other.ncols
+        b_nz = [[(k, b) for k, b in enumerate(row) if b] for row in other.rows]
         out = []
         for row in self.rows:
-            nz = [(j, e) for j, e in enumerate(row) if e]
-            out.append([sum((e * col[j] for j, e in nz), zero) for col in bt])
+            acc = [zero] * width
+            for j, a in enumerate(row):
+                if a:
+                    for k, b in b_nz[j]:
+                        acc[k] += a * b
+            out.append(acc)
         return Matrix(out)
 
     def matvec(self, v: Vector) -> Vector:
         if len(v) != self.ncols:
             raise ShapeError("matvec length mismatch")
         zero = scalar_zero_like(self.rows[0][0])
-        nz = [(j, c) for j, c in enumerate(v) if c]
-        return [sum((row[j] * c for j, c in nz), zero) for row in self.rows]
+        v_nz = {j: c for j, c in enumerate(v) if c}
+        out = []
+        for row in self.rows:
+            acc = zero
+            for j, c in v_nz.items():
+                e = row[j]
+                if e:
+                    acc += e * c
+            out.append(acc)
+        return out
 
     def _check_same_shape(self, other: "Matrix"):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -145,6 +158,9 @@ def rref(mat: Matrix):
 
     Returns (R, pivot_columns).  RREF is canonical for the row space, so
     every consumer downstream inherits determinism from this one routine.
+    Elimination works in place on a private copy of the rows and touches
+    only the nonzero entries of the pivot row: left of its pivot column
+    that row is zero, and every other entry would contribute a - f * 0.
     """
     rows = [list(r) for r in mat.rows]
     m, n = len(rows), len(rows[0])
@@ -160,16 +176,20 @@ def rref(mat: Matrix):
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
-        pivot = rows[r][c]
+        prow = rows[r]
+        pivot = prow[c]
+        nz = [(j, prow[j]) for j in range(c, n) if prow[j]]
         if pivot != 1:
             inv = 1 / pivot if isinstance(pivot, Fraction) else pivot.inv()
-            rows[r] = [e * inv for e in rows[r]]
-        prow = rows[r]
+            nz = [(j, e * inv) for j, e in nz]
+            for j, e in nz:
+                prow[j] = e
         for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                ri = rows[i]
-                rows[i] = [a - f * b if b else a for a, b in zip(ri, prow)]
+            ri = rows[i]
+            f = ri[c]
+            if f and i != r:
+                for j, b in nz:
+                    ri[j] -= f * b
         pivots.append(c)
         r += 1
         if r == m:
@@ -293,6 +313,16 @@ def matrix_power_is_zero(mat: Matrix) -> bool:
             return True
         b = b @ b
     return b.is_zero()
+
+
+def shift_diagonal(mat: Matrix, c) -> Matrix:
+    """mat + c * I, changing only the diagonal."""
+    if not mat.is_square():
+        raise ShapeError("diagonal shift of non-square matrix")
+    rows = [list(r) for r in mat.rows]
+    for i, row in enumerate(rows):
+        row[i] = row[i] + c
+    return Matrix(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +460,7 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc @ mat
             if c:
-                acc = acc + Matrix.identity(n, like=mat.rows[0][0]).scale(c)
+                acc = shift_diagonal(acc, c)
         return acc
 
     def is_squarefree(self) -> bool:
@@ -601,8 +631,7 @@ def is_nilpotent_matrix(mat: Matrix) -> bool:
 
 
 def is_unipotent_matrix(mat: Matrix) -> bool:
-    ident = Matrix.identity(mat.nrows, like=mat.rows[0][0])
-    return matrix_power_is_zero(mat - ident)
+    return matrix_power_is_zero(shift_diagonal(mat, -1))
 
 
 def split_rational_spectrum(mat: Matrix) -> Optional[List[Fraction]]:
@@ -618,9 +647,8 @@ def split_rational_spectrum(mat: Matrix) -> Optional[List[Fraction]]:
         return None
     out: List[Fraction] = []
     n = mat.nrows
-    ident = Matrix.identity(n, like=mat.rows[0][0])
     for r in sorted(set(roots)):
-        mult = n - rank(mat - ident.scale(r))
+        mult = n - rank(shift_diagonal(mat, -r))
         out.extend([r] * mult)
     if len(out) != n:
         raise InvariantViolation(
@@ -642,11 +670,10 @@ def integer_spectrum(mat: Matrix, bound: int) -> dict:
     if bound < 0:
         raise ShapeError("negative spectrum bound")
     n = mat.nrows
-    ident = Matrix.identity(n, like=mat.rows[0][0])
     found = {}
     total = 0
     for k in _alternating_range(bound):
-        mult = n - rank(mat - ident.scale(k)) if k else n - rank(mat)
+        mult = n - rank(shift_diagonal(mat, -k)) if k else n - rank(mat)
         if mult:
             found[k] = mult
             total += mult

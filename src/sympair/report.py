@@ -49,6 +49,11 @@ def fmt_vector(v: Sequence[Fraction]) -> List[str]:
     return [fmt(c) for c in v]
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: bool is an int subclass in Python but not one in JSON."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_vector(items, dim: int) -> Vector:
     vec = [parse_rational(t) for t in items]
     if len(vec) != dim:
@@ -76,17 +81,17 @@ def parse_pair_spec(doc: dict) -> PairSpec:
     if family not in (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT, FAMILY_CUSTOM):
         raise InputError("family must be diagonal, quadratic_ext, or custom")
     max_orbit_n = doc.get("max_orbit_n", DEFAULT_MAX_ORBIT_N)
-    if not isinstance(max_orbit_n, int) or max_orbit_n < 1:
+    if not _is_int(max_orbit_n) or max_orbit_n < 1:
         raise InputError("max_orbit_n must be a positive integer")
     spec = PairSpec(family=family, max_orbit_n=max_orbit_n)
     if family in (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT):
         n = doc.get("n")
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise InputError("n must be a positive integer")
         spec.n = n
         if family == FAMILY_QUADRATIC_EXT:
             disc = doc.get("d", doc.get("D"))
-            if not isinstance(disc, int):
+            if not _is_int(disc):
                 raise InputError("quadratic_ext needs an integer discriminant d")
             spec.disc = disc
         elif "d" in doc or "D" in doc:
@@ -109,7 +114,7 @@ def build_pair(spec: PairSpec) -> SymmetricPair:
 
 def _build_custom_pair(custom: dict) -> SymmetricPair:
     dim = custom.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise InputError("custom.dim must be a positive integer")
     table_doc = custom.get("structure_constants")
     if (not isinstance(table_doc, list) or len(table_doc) != dim

@@ -32,6 +32,7 @@ from .linalg import (
     is_zero_vector,
     kernel_basis,
     matrix_power_is_zero,
+    shift_diagonal,
     solve,
     vec_scale,
 )
@@ -100,9 +101,7 @@ def jacobson_morozov(g: LieAlgebra, x: Vector, rng: Optional[random.Random] = No
 
 def _solve_for_f(g: LieAlgebra, adx: Matrix, h: Vector, x: Vector,
                  rng: Optional[random.Random]) -> Vector:
-    adh = g.ad(h)
-    two_id = Matrix.identity(g.dim).scale(Fraction(2))
-    stacked = Matrix(adx.rows + (adh + two_id).rows)
+    stacked = Matrix(adx.rows + shift_diagonal(g.ad(h), 2).rows)
     rhs = list(h) + list(g.zero_vector())
     f = solve(stacked, rhs)
     if f is None:

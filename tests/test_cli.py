@@ -217,3 +217,29 @@ class TestCustomSpec:
         assert t["theta_adapted"] is True
         assert t["h"] == ["0", "1", "0"]
         assert t["f"] == ["0", "0", "1"]
+
+
+class TestSpecRejectsBooleans:
+    """JSON true/false are not integers, although Python's bool is an int."""
+
+    def audit_spec(self, capsys, tmp_path, doc):
+        spec = tmp_path / "pair.json"
+        spec.write_text(json.dumps(doc))
+        return run(capsys, "audit", "--spec", str(spec))
+
+    def test_n(self, capsys, tmp_path):
+        code, out, err = self.audit_spec(capsys, tmp_path, {"family": "diagonal", "n": True})
+        assert code == 2 and out == ""
+        assert "n must be a positive integer" in err
+
+    def test_max_orbit_n(self, capsys, tmp_path):
+        code, out, err = self.audit_spec(capsys, tmp_path,
+                                         {"family": "diagonal", "n": 1, "max_orbit_n": True})
+        assert code == 2 and out == ""
+        assert "max_orbit_n must be a positive integer" in err
+
+    def test_d(self, capsys, tmp_path):
+        code, out, err = self.audit_spec(capsys, tmp_path,
+                                         {"family": "quadratic_ext", "n": 2, "d": True})
+        assert code == 2 and out == ""
+        assert "integer discriminant" in err
