@@ -228,9 +228,14 @@ def diagonal_trace_identity(n: int, mu: Partition) -> TraceIdentity:
 
 
 @lru_cache(maxsize=None)
+def _gl(n: int):
+    return build_gl(n)
+
+
+@lru_cache(maxsize=None)
 def _inner_weights_from_spectrum(n: int, mu: Partition) -> Tuple[int, ...]:
     """Weights of gl_n under the standard J_mu triple, via kernel-rank spectra."""
-    g = build_gl(n)
+    g = _gl(n)
     hm, fm = standard_blocks(mu)
     triple = SL2Triple(e=tuple(_flatten(jordan_matrix(mu))), h=tuple(_flatten(hm)),
                        f=tuple(_flatten(fm)))

@@ -1,10 +1,11 @@
 """Finite-dimensional Lie algebras over Q via structure constants.
 
-An algebra carries its basis labels, the dense table c[i][j] with
-[e_i, e_j] = sum_k c[i][j][k] e_k, and optionally a faithful matrix
-realization (one square rational matrix per basis element) plus, for
-algebras obtained by a quadratic base change, the Galois conjugation as a
-linear map on coordinates.
+An algebra carries its basis labels, the structure constants as sparse
+rows -- [e_i, e_j] = sum_k c_k e_k stored as (i, j) -> ((k, c_k), ...)
+over the nonzero c_k only, with zero brackets not stored -- and
+optionally a faithful matrix realization (one square rational matrix per
+basis element) plus, for algebras obtained by a quadratic base change,
+the Galois conjugation as a linear map on coordinates.
 
 Vectors are coordinate lists over the basis.  All operations are pure;
 instances never mutate after construction.
@@ -13,7 +14,7 @@ instances never mutate after construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import PreconditionError, ShapeError
 from .linalg import (
@@ -26,22 +27,29 @@ from .linalg import (
 from .scalars import ONE, ZERO, is_square_free_non_square, rat
 
 SparseRow = Tuple[Tuple[int, Fraction], ...]
+SparseRows = Mapping[Tuple[int, int], SparseRow]
+DenseTable = List[List[List[Fraction]]]
 
 
 class LieAlgebra:
+    """Structure constants are given either as sparse rows {(i, j): ((k, c), ...)},
+    each listing increasing k with nonzero c, or as a dense table c[i][j][k];
+    a dense table is converted once and the dense view ``table`` is rebuilt
+    from the sparse rows only when read.
+    """
 
-    def __init__(self, labels: Sequence[str], table: List[List[List[Fraction]]],
+    def __init__(self, labels: Sequence[str], structure: Union[SparseRows, DenseTable],
                  realization: Optional[List[Matrix]] = None,
                  conjugation: Optional[Matrix] = None,
                  validate: str = "basic"):
         self.labels = list(labels)
         self.dim = len(self.labels)
-        if len(table) != self.dim or any(len(row) != self.dim for row in table):
-            raise ShapeError("structure-constant table has wrong shape")
-        self.table = table
+        # _rows[i][j] is the sparse row of [e_i, e_j]; missing j means zero.
+        self._rows: List[Dict[int, SparseRow]] = self._read_structure(structure)
         self.realization = realization
         self.conjugation = conjugation
-        self._sparse: Dict[Tuple[int, int], SparseRow] = {}
+        self._table: Optional[DenseTable] = None
+        self._realization_nz: Optional[List[Dict[Tuple[int, int], Fraction]]] = None
         self._killing: Optional[Matrix] = None
         self._trace_form: Optional[Matrix] = None
         if realization is not None:
@@ -60,15 +68,42 @@ class LieAlgebra:
         elif validate != "none":
             raise ShapeError("unknown validation level %r" % validate)
 
+    def _read_structure(self, structure) -> List[Dict[int, SparseRow]]:
+        d = self.dim
+        if not isinstance(structure, Mapping):
+            if len(structure) != d or any(len(r) != d or any(len(cell) != d for cell in r)
+                                          for r in structure):
+                raise ShapeError("structure-constant table has wrong shape")
+            structure = {(i, j): tuple((k, c) for k, c in enumerate(cell) if c)
+                         for i, r in enumerate(structure) for j, cell in enumerate(r)}
+        rows: List[Dict[int, SparseRow]] = [{} for _ in range(d)]
+        for (i, j), row in structure.items():
+            if row:
+                rows[i][j] = tuple(row)
+        return rows
+
     # -- structure access ---------------------------------------------------
 
+    @property
+    def table(self) -> DenseTable:
+        """Dense view c[i][j][k] of the structure constants, built on first read."""
+        if self._table is None:
+            d = self.dim
+            table = [[[ZERO] * d for _ in range(d)] for _ in range(d)]
+            for i, left in enumerate(self._rows):
+                for j, row in left.items():
+                    cell = table[i][j]
+                    for k, c in row:
+                        cell[k] = c
+            self._table = table
+        return self._table
+
     def sparse_row(self, i: int, j: int) -> SparseRow:
-        key = (i, j)
-        row = self._sparse.get(key)
-        if row is None:
-            row = tuple((k, c) for k, c in enumerate(self.table[i][j]) if c)
-            self._sparse[key] = row
-        return row
+        return self._rows[i].get(j, ())
+
+    def sparse_rows(self) -> Dict[Tuple[int, int], SparseRow]:
+        """Every nonzero bracket of basis elements, keyed by (i, j)."""
+        return {(i, j): row for i, left in enumerate(self._rows) for j, row in left.items()}
 
     def zero_vector(self) -> Vector:
         return [ZERO] * self.dim
@@ -82,13 +117,15 @@ class LieAlgebra:
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeError("bracket operands must have length %d" % self.dim)
         out = self.zero_vector()
-        xi = [(i, c) for i, c in enumerate(x) if c]
-        yj = [(j, c) for j, c in enumerate(y) if c]
-        for i, a in xi:
-            for j, b in yj:
-                ab = a * b
-                for k, c in self.sparse_row(i, j):
-                    out[k] += ab * c
+        for i, a in enumerate(x):
+            if not a:
+                continue
+            for j, row in self._rows[i].items():
+                b = y[j]
+                if b:
+                    ab = a * b
+                    for k, c in row:
+                        out[k] += ab * c
         return out
 
     def ad(self, x: Vector) -> Matrix:
@@ -99,39 +136,44 @@ class LieAlgebra:
         for i, a in enumerate(x):
             if not a:
                 continue
-            for j in range(self.dim):
+            for j, row in self._rows[i].items():
                 col = cols[j]
-                for k, c in self.sparse_row(i, j):
+                for k, c in row:
                     col[k] += a * c
         return Matrix.from_columns(cols)
 
-    def realize(self, x: Vector) -> Matrix:
+    def _realization_nonzeros(self) -> List[Dict[Tuple[int, int], Fraction]]:
+        """Per basis element, the nonzero entries {(r, c): v} of its realization."""
         if self.realization is None:
             raise ShapeError("algebra has no matrix realization")
-        acc = Matrix.zeros(self.realization[0].nrows, self.realization[0].ncols)
-        for i, c in enumerate(x):
-            if c:
-                acc = acc + self.realization[i].scale(c)
-        return acc
+        if self._realization_nz is None:
+            self._realization_nz = [
+                {(r, c): v for r, row in enumerate(m.rows) for c, v in enumerate(row) if v}
+                for m in self.realization
+            ]
+        return self._realization_nz
+
+    def _realize_sparse(self, coeffs) -> Matrix:
+        """Sum of c * realization[i] over the (i, c) pairs, nonzeros only."""
+        nz = self._realization_nonzeros()
+        size = self.realization[0].nrows
+        rows = [[ZERO] * size for _ in range(size)]
+        for i, c in coeffs:
+            for (r, s), v in nz[i].items():
+                rows[r][s] += c * v
+        return Matrix(rows)
+
+    def realize(self, x: Vector) -> Matrix:
+        return self._realize_sparse((i, c) for i, c in enumerate(x) if c)
 
     # -- invariant forms ----------------------------------------------------
 
     def killing_form(self) -> Matrix:
         """Gram matrix of (x, y) -> tr(ad x . ad y)."""
         if self._killing is None:
-            d = self.dim
-            gram = [[ZERO] * d for _ in range(d)]
-            for i in range(d):
-                for j in range(i, d):
-                    s = ZERO
-                    for k in range(d):
-                        for l, a in self.sparse_row(i, k):
-                            c = self.table[j][l][k]
-                            if c:
-                                s += a * c
-                    gram[i][j] = s
-                    gram[j][i] = s
-            self._killing = Matrix(gram)
+            # ad(e_i) has entry c at (k, j) for every (k, c) in the row of [e_i, e_j].
+            ads = [{(k, j): c for j, row in left.items() for k, c in row} for left in self._rows]
+            self._killing = _trace_pairing(ads)
         return self._killing
 
     def trace_form(self) -> Matrix:
@@ -139,24 +181,7 @@ class LieAlgebra:
         if self.realization is None:
             raise ShapeError("trace form requires a matrix realization")
         if self._trace_form is None:
-            d = self.dim
-            sparse = [
-                {(r, c): v for r, row in enumerate(m.rows) for c, v in enumerate(row) if v}
-                for m in self.realization
-            ]
-            gram = [[ZERO] * d for _ in range(d)]
-            for i in range(d):
-                si = sparse[i]
-                for j in range(i, d):
-                    sj = sparse[j]
-                    s = ZERO
-                    for (r, c), v in si.items():
-                        w = sj.get((c, r))
-                        if w:
-                            s += v * w
-                    gram[i][j] = s
-                    gram[j][i] = s
-            self._trace_form = Matrix(gram)
+            self._trace_form = _trace_pairing(self._realization_nonzeros())
         return self._trace_form
 
     def form_value(self, gram: Matrix, x: Vector, y: Vector) -> Fraction:
@@ -175,12 +200,13 @@ class LieAlgebra:
     # -- validation -----------------------------------------------------------
 
     def _check_antisymmetry(self):
-        for i in range(self.dim):
-            if any(c for c in self.table[i][i]):
+        for i, left in enumerate(self._rows):
+            if i in left:
                 raise ShapeError("nonzero bracket [e_%d, e_%d]" % (i, i))
-            for j in range(i + 1, self.dim):
-                if any(a + b for a, b in zip(self.table[i][j], self.table[j][i])):
-                    raise ShapeError("structure constants not antisymmetric at (%d, %d)" % (i, j))
+            for j, row in left.items():
+                if tuple((k, -c) for k, c in row) != self.sparse_row(j, i):
+                    raise ShapeError("structure constants not antisymmetric at (%d, %d)"
+                                     % (min(i, j), max(i, j)))
 
     def check_jacobi(self):
         """Jacobi identity on all basis triples (i < j < k suffices by antisymmetry)."""
@@ -205,9 +231,27 @@ class LieAlgebra:
             for j in range(i + 1, self.dim):
                 rj = self.realization[j]
                 comm = ri @ rj - rj @ ri
-                if comm != self.realize(self.table[i][j]):
+                if comm != self._realize_sparse(self.sparse_row(i, j)):
                     raise ShapeError("realization commutator disagrees with structure constants "
                                      "at (%d, %d)" % (i, j))
+
+
+def _trace_pairing(mats: Sequence[Dict[Tuple[int, int], Fraction]]) -> Matrix:
+    """Gram matrix of tr(M_i M_j) for matrices given by their nonzeros {(r, c): v}."""
+    d = len(mats)
+    gram = [[ZERO] * d for _ in range(d)]
+    for i in range(d):
+        mi = mats[i]
+        for j in range(i, d):
+            mj = mats[j]
+            s = ZERO
+            for (r, c), v in mi.items():
+                w = mj.get((c, r))
+                if w:
+                    s += v * w
+            gram[i][j] = s
+            gram[j][i] = s
+    return Matrix(gram)
 
 
 # ---------------------------------------------------------------------------
@@ -222,48 +266,46 @@ def build_gl(n: int) -> LieAlgebra:
     """
     if n < 1:
         raise PreconditionError("gl_n needs n >= 1")
-    d = n * n
     labels = ["E%d_%d" % (a + 1, b + 1) for a in range(n) for b in range(n)]
 
     def idx(a, b):
         return a * n + b
 
-    table = [[None] * d for _ in range(d)]
+    rows = {}
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 for e in range(n):
-                    row = [ZERO] * d
+                    if b != c and e != a:
+                        continue
+                    coeffs: Dict[int, Fraction] = {}
                     if b == c:
-                        row[idx(a, e)] += ONE
+                        coeffs[idx(a, e)] = ONE
                     if e == a:
-                        row[idx(c, b)] -= ONE
-                    table[idx(a, b)][idx(c, e)] = row
+                        coeffs[idx(c, b)] = coeffs.get(idx(c, b), ZERO) - ONE
+                    row = tuple((k, c) for k, c in sorted(coeffs.items()) if c)
+                    if row:
+                        rows[idx(a, b), idx(c, e)] = row
     realization = []
     for a in range(n):
         for b in range(n):
             m = [[ZERO] * n for _ in range(n)]
             m[a][b] = ONE
             realization.append(Matrix(m))
-    return LieAlgebra(labels, table, realization=realization, validate="none")
+    return LieAlgebra(labels, rows, realization=realization, validate="none")
+
+
+def _shifted(row: SparseRow, offset: int) -> SparseRow:
+    return tuple((offset + k, c) for k, c in row)
 
 
 def build_product(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
     """Direct sum with componentwise bracket; realization is block diagonal."""
-    d1, d2 = g1.dim, g2.dim
-    d = d1 + d2
+    d1 = g1.dim
     labels = ["l.%s" % s for s in g1.labels] + ["r.%s" % s for s in g2.labels]
-    table = [[[ZERO] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d1):
-        for j in range(d1):
-            for k, c in enumerate(g1.table[i][j]):
-                if c:
-                    table[i][j][k] = c
-    for i in range(d2):
-        for j in range(d2):
-            for k, c in enumerate(g2.table[i][j]):
-                if c:
-                    table[d1 + i][d1 + j][d1 + k] = c
+    rows = g1.sparse_rows()
+    for (i, j), row in g2.sparse_rows().items():
+        rows[d1 + i, d1 + j] = _shifted(row, d1)
     realization = None
     if g1.realization is not None and g2.realization is not None:
         n1 = g1.realization[0].nrows
@@ -273,7 +315,7 @@ def build_product(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
             realization.append(_embed_block(m, 0, n1 + n2))
         for m in g2.realization:
             realization.append(_embed_block(m, n1, n1 + n2))
-    return LieAlgebra(labels, table, realization=realization, validate="none")
+    return LieAlgebra(labels, rows, realization=realization, validate="none")
 
 
 def _embed_block(m: Matrix, offset: int, size: int) -> Matrix:
@@ -298,16 +340,11 @@ def build_quadratic_extension(g: LieAlgebra, disc) -> LieAlgebra:
     d = g.dim
     dd = 2 * d
     labels = list(g.labels) + ["w*%s" % s for s in g.labels]
-    table = [[[ZERO] * dd for _ in range(dd)] for _ in range(dd)]
-    for i in range(d):
-        for j in range(d):
-            for k, c in enumerate(g.table[i][j]):
-                if not c:
-                    continue
-                table[i][j][k] = c
-                table[i][d + j][d + k] = c
-                table[d + i][j][d + k] = c
-                table[d + i][d + j][k] = disc * c
+    rows = {}
+    for (i, j), row in g.sparse_rows().items():
+        rows[i, j] = row
+        rows[i, d + j] = rows[d + i, j] = _shifted(row, d)
+        rows[d + i, d + j] = tuple((k, disc * c) for k, c in row)
     realization = None
     if g.realization is not None:
         n = g.realization[0].nrows
@@ -320,7 +357,7 @@ def build_quadratic_extension(g: LieAlgebra, disc) -> LieAlgebra:
     for i in range(d):
         conj_rows[i][i] = ONE
         conj_rows[d + i][d + i] = -ONE
-    return LieAlgebra(labels, table, realization=realization,
+    return LieAlgebra(labels, rows, realization=realization,
                       conjugation=Matrix(conj_rows), validate="none")
 
 
@@ -347,14 +384,3 @@ def _regular_rep_block(m: Matrix, n: int, disc: Fraction, plain: bool) -> Matrix
 def form_radical_dimension(gram: Matrix) -> int:
     return gram.nrows - rank(gram)
 
-
-def form_is_invariant(g: LieAlgebra, gram: Matrix, triples: Sequence[Tuple[int, int, int]]) -> bool:
-    """B([z, x], y) + B(x, [z, y]) = 0 on the given basis triples."""
-    for zi, xi, yi in triples:
-        zx = g.table[zi][xi]
-        zy = g.table[zi][yi]
-        val = g.form_value(gram, zx, g.basis_vector(yi)) + \
-            g.form_value(gram, g.basis_vector(xi), zy)
-        if val:
-            return False
-    return True

@@ -69,9 +69,6 @@ class Matrix:
     def from_columns(cols: Sequence[Sequence]) -> "Matrix":
         return Matrix([list(r) for r in zip(*cols)])
 
-    def column(self, j: int) -> Vector:
-        return [r[j] for r in self.rows]
-
     def entry(self, i: int, j: int):
         return self.rows[i][j]
 
@@ -702,13 +699,6 @@ def echelon_subspace(vectors: Sequence[Vector]) -> List[Vector]:
         return []
     red, pivots = rref(Matrix(vecs))
     return red.rows[: len(pivots)]
-
-def in_span(basis: Sequence[Vector], v: Vector) -> bool:
-    if is_zero_vector(v):
-        return True
-    if not basis:
-        return False
-    return solve(Matrix.from_columns(list(basis)), v) is not None
 
 def coords_in_basis(basis: Sequence[Vector], vectors: Sequence[Vector]) -> List[Vector]:
     """Coordinates of each vector in the given basis; raises if not in span."""

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, PreconditionError, ShapeError
-from .liealg import LieAlgebra, build_gl, build_product, build_quadratic_extension
+from .liealg import LieAlgebra, SparseRow, build_gl, build_product, build_quadratic_extension
 from .linalg import (
     Matrix,
     Vector,
@@ -36,9 +36,10 @@ from .linalg import (
     kernel_basis,
     minimal_polynomial,
     rank,
+    shift_diagonal,
     solve_many,
 )
-from .scalars import HALF, ONE, ZERO, QuadExt, rat
+from .scalars import ONE, ZERO, QuadExt, rat
 
 FAMILY_DIAGONAL = "diagonal"
 FAMILY_QUADRATIC_EXT = "quadratic_ext"
@@ -68,14 +69,17 @@ class SymmetricPair:
         self.family = family
         self.inner_n = inner_n
         self.disc = disc
-
-        ident = Matrix.identity(d)
-        if theta @ theta != ident:
-            raise ShapeError("theta is not an involution")
+        # theta e_j as its nonzeros (i, theta[i][j]), so applying theta skips zeros.
+        cols = self._theta_cols = [tuple((i, row[j]) for i, row in enumerate(theta.rows) if row[j])
+                                   for j in range(d)]
+        for j in range(d):
+            # theta(theta e_j) = e_j
+            if _combine((c, cols[i]) for i, c in cols[j]) != {j: ONE}:
+                raise ShapeError("theta is not an involution")
         self._check_automorphism()
 
-        self.h_basis = kernel_basis(theta - ident)
-        self.gsigma_basis = kernel_basis(theta + ident)
+        self.h_basis = kernel_basis(shift_diagonal(theta, -1))
+        self.gsigma_basis = kernel_basis(shift_diagonal(theta, 1))
         if len(self.h_basis) + len(self.gsigma_basis) != d:
             raise ShapeError("theta eigenspaces do not fill the algebra")
 
@@ -90,12 +94,12 @@ class SymmetricPair:
     # -- invariant checks ---------------------------------------------------
 
     def _check_automorphism(self):
-        g, th = self.algebra, self.theta
-        tcols = [th.column(j) for j in range(g.dim)]
+        """theta[e_i, e_j] = [theta e_i, theta e_j] for every i < j, over nonzeros."""
+        g, cols = self.algebra, self._theta_cols
         for i in range(g.dim):
             for j in range(i + 1, g.dim):
-                lhs = th.matvec(g.table[i][j])
-                rhs = g.bracket(tcols[i], tcols[j])
+                lhs = _combine((c, cols[k]) for k, c in g.sparse_row(i, j))
+                rhs = _combine((s * t, g.sparse_row(a, b)) for a, s in cols[i] for b, t in cols[j])
                 if lhs != rhs:
                     raise ShapeError("theta is not a Lie algebra automorphism at (%d, %d)" % (i, j))
 
@@ -116,7 +120,7 @@ class SymmetricPair:
             for a in basis_a:
                 for b in basis_b:
                     v = self.algebra.bracket(a, b)
-                    tv = self.theta.matvec(v)
+                    tv = self.theta_apply(v)
                     bad = [p + sign * q for p, q in zip(tv, v)]
                     if not is_zero_vector(bad):
                         raise ShapeError("grading violated")
@@ -136,22 +140,20 @@ class SymmetricPair:
         return len(self.gsigma_basis)
 
     def theta_apply(self, v: Vector) -> Vector:
-        return self.theta.matvec(v)
+        if len(v) != self.dim_g:
+            raise ShapeError("theta operand must have length %d" % self.dim_g)
+        out = [ZERO] * self.dim_g
+        for j, c in enumerate(v):
+            if c:
+                for i, t in self._theta_cols[j]:
+                    out[i] += t * c
+        return out
 
     def in_h(self, v: Vector) -> bool:
-        return self.theta.matvec(v) == list(v)
+        return self.theta_apply(v) == list(v)
 
     def in_gsigma(self, v: Vector) -> bool:
-        return self.theta.matvec(v) == [-a for a in v]
-
-    def project_h(self, v: Vector) -> Vector:
-        return [(a + b) * HALF for a, b in zip(v, self.theta.matvec(v))]
-
-    def project_gsigma(self, v: Vector) -> Vector:
-        return [(a - b) * HALF for a, b in zip(v, self.theta.matvec(v))]
-
-    def form_value(self, x: Vector, y: Vector) -> Fraction:
-        return self.algebra.form_value(self.form, x, y)
+        return self.theta_apply(v) == [-a for a in v]
 
     def centralizer_in(self, x: Vector, subspace: Sequence[Vector]) -> List[Vector]:
         """Echelon basis of {v in span(subspace) : [x, v] = 0}, in g coordinates."""
@@ -175,6 +177,15 @@ class SymmetricPair:
             return list(self.gsigma_basis)
         ker = kernel_basis(Matrix(blocks))
         return echelon_subspace([sub.matvec(k) for k in ker])
+
+
+def _combine(terms: Iterable[Tuple[Fraction, SparseRow]]) -> Dict[int, Fraction]:
+    """Nonzero coordinates of sum c * row over the (c, row) terms."""
+    acc: Dict[int, Fraction] = {}
+    for c, row in terms:
+        for k, v in row:
+            acc[k] = acc.get(k, ZERO) + c * v
+    return {k: v for k, v in acc.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -490,28 +501,28 @@ def subpair_on(pair: SymmetricPair, basis: Sequence[Vector]) -> SymmetricPair:
     for i in range(k):
         for j in range(i + 1, k):
             targets.append(g.bracket(basis[i], basis[j]))
-    theta_images = [pair.theta.matvec(b) for b in basis]
+    theta_images = [pair.theta_apply(b) for b in basis]
     sols = solve_many(cols, targets + theta_images)
     if sols is None:
         raise InvariantViolation("subspace is not closed under bracket or theta")
-    table = [[[ZERO] * k for _ in range(k)] for _ in range(k)]
+    rows = {}
     t = 0
     for i in range(k):
         for j in range(i + 1, k):
-            coeffs = sols[t]
+            row = tuple((m, c) for m, c in enumerate(sols[t]) if c)
             t += 1
-            for m, c in enumerate(coeffs):
-                table[i][j][m] = c
-                table[j][i][m] = -c
+            if row:
+                rows[i, j] = row
+                rows[j, i] = tuple((m, -c) for m, c in row)
     theta_cols = sols[t:]
 
     realization = None
     if g.realization is not None:
         realization = [g.realize(b) for b in basis]
     labels = ["z%d" % (i + 1) for i in range(k)]
-    sub = LieAlgebra(labels, table, realization=realization, validate="basic")
+    sub = LieAlgebra(labels, rows, realization=realization, validate="basic")
     new_theta = Matrix.from_columns(theta_cols)
-    gram = Matrix([[pair.form_value(basis[i], basis[j]) for j in range(k)] for i in range(k)])
+    gram = Matrix(basis) @ pair.form @ cols
     if rank(gram) != k:
         raise InvariantViolation("degenerate restriction: the invariant form "
                                  "collapses on the centralizer")

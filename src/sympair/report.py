@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 
 from . import __version__
 from .criteria import OrbitAudit, audit_orbits
-from .errors import InputError
+from .errors import InputError, ShapeError
 from .inference import audit_to_facts, close
 from .liealg import LieAlgebra
 from .linalg import Matrix, Vector
@@ -116,42 +116,43 @@ def _build_custom_pair(custom: dict) -> SymmetricPair:
     dim = custom.get("dim")
     if not _is_int(dim) or dim < 1:
         raise InputError("custom.dim must be a positive integer")
-    table_doc = custom.get("structure_constants")
-    if (not isinstance(table_doc, list) or len(table_doc) != dim
-            or any(len(row) != dim for row in table_doc)):
-        raise InputError("structure_constants must be a dim x dim x dim array")
-    table = [[[parse_rational(c) for c in _expect_list(table_doc[i][j], dim)]
-              for j in range(dim)] for i in range(dim)]
+    table = [[[parse_rational(c) for c in _expect_list(cell, dim, "structure_constants cell")]
+              for cell in _expect_list(row, dim, "structure_constants row")]
+             for row in _expect_list(custom.get("structure_constants"), dim,
+                                     "structure_constants")]
     labels = custom.get("basis_labels") or ["e%d" % (i + 1) for i in range(dim)]
-    if len(labels) != dim:
-        raise InputError("basis_labels length must equal dim")
+    if (not isinstance(labels, list) or len(labels) != dim
+            or not all(isinstance(label, str) for label in labels)):
+        raise InputError("basis_labels must be a list of dim strings")
     realization = None
     if custom.get("realization") is not None:
-        mats = custom["realization"]
-        if not isinstance(mats, list) or len(mats) != dim:
-            raise InputError("realization must supply one matrix per basis element")
-        realization = [Matrix([[parse_rational(e) for e in row] for row in m]) for m in mats]
-    theta_doc = custom.get("theta")
-    if theta_doc is None:
+        mats = _expect_list(custom["realization"], dim, "realization")
+        if not isinstance(mats[0], list) or not mats[0]:
+            raise InputError("realization matrices must be non-empty lists of rows")
+        realization = [_parse_square(m, len(mats[0]), "realization matrix") for m in mats]
+    if custom.get("theta") is None:
         raise InputError("custom family needs a theta matrix")
-    theta = Matrix([[parse_rational(e) for e in _expect_list(row, dim)] for row in theta_doc])
-    if theta.nrows != dim:
-        raise InputError("theta must be dim x dim")
+    theta = _parse_square(custom["theta"], dim, "theta")
     try:
         algebra = LieAlgebra(labels, table, realization=realization, validate="full")
-    except Exception as exc:
+    except ShapeError as exc:
         raise InputError("invalid custom algebra: %s" % exc) from exc
     form = algebra.trace_form() if realization is not None else algebra.killing_form()
     try:
         return SymmetricPair(algebra, theta, form, family=FAMILY_CUSTOM)
-    except Exception as exc:
+    except ShapeError as exc:
         raise InputError("invalid custom pair: %s" % exc) from exc
 
 
-def _expect_list(x, length: int):
+def _expect_list(x, length: int, what: str):
     if not isinstance(x, list) or len(x) != length:
-        raise InputError("expected a list of length %d" % length)
+        raise InputError("%s must be a list of length %d" % (what, length))
     return x
+
+
+def _parse_square(doc, size: int, what: str) -> Matrix:
+    return Matrix([[parse_rational(e) for e in _expect_list(row, size, what + " row")]
+                   for row in _expect_list(doc, size, what)])
 
 
 # ---------------------------------------------------------------------------

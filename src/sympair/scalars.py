@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import ShapeError
-
-Rational = Fraction
+from .errors import InputError, ShapeError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -28,16 +26,20 @@ def rat(x) -> Fraction:
     return Fraction(x)
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x)
+# Largest |d| accepted: trial division then takes at most 10^6 steps.
+MAX_DISCRIMINANT = 10 ** 12
 
 
 def is_square_free_non_square(d: int) -> bool:
     """True when d is a square-free integer that is not a perfect square.
 
-    Valid discriminants for a quadratic extension of Q.  Trial division is
-    fine here: discriminants in scope are small.
+    Valid discriminants for a quadratic extension of Q.  Trial division up
+    to sqrt|d|, so |d| above MAX_DISCRIMINANT is rejected as bad input
+    instead of being factored.
     """
+    if abs(d) > MAX_DISCRIMINANT:
+        raise InputError("discriminant %d is too large (|d| <= %d supported)"
+                         % (d, MAX_DISCRIMINANT))
     if d in (0, 1):
         return False
     if d > 0 and isqrt(d) ** 2 == d:

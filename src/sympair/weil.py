@@ -37,14 +37,41 @@ COMPLEX = "complex"
 P_ADIC = "p_adic"
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, Strong pseudoprimes to twelve prime bases, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality; InputError for n at or above MR_EXACT_BELOW.
+
+    Trial division by the bases decides every n < 43^2 outright.
+    """
     if n < 2:
         return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
+    for p in _MR_BASES:
+        if p * p > n:
+            return True
+        if n % p == 0:
             return False
-        f += 1
+    if n >= MR_EXACT_BELOW:
+        raise InputError("%d is too large for the exact primality test (limit %d)"
+                         % (n, MR_EXACT_BELOW))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
     return True
 
 

@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from sympair.cli import main
+from sympair.liealg import build_gl
 
 
 def run(capsys, *argv):
@@ -243,3 +246,74 @@ class TestSpecRejectsBooleans:
                                          {"family": "quadratic_ext", "n": 2, "d": True})
         assert code == 2 and out == ""
         assert "integer discriminant" in err
+
+
+def _gl2_custom_doc(theta_of):
+    """gl_2 with its defining realization as a custom pair; theta_of(a, b) = (c, d, sign)
+    sends E_ab to sign * E_cd."""
+    g = build_gl(2)
+    theta = [["0"] * 4 for _ in range(4)]
+    for a in range(2):
+        for b in range(2):
+            c, d, sign = theta_of(a, b)
+            theta[2 * c + d][2 * a + b] = str(sign)
+    return {
+        "family": "custom",
+        "custom": {
+            "dim": 4,
+            "structure_constants": [[[str(c) for c in cell] for cell in row] for row in g.table],
+            "theta": theta,
+            "realization": [[[str(e) for e in r] for r in m.rows] for m in g.realization],
+        },
+    }
+
+
+class TestCustomSpecShapes:
+    """Every nested level of a custom spec is type-checked: bad shapes exit 2, never 1."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("structure_constants", 5),                    # the table itself
+        ("structure_constants", [5, 6]),               # table rows
+        ("structure_constants", [[5, 6], [7, 8]]),     # table cells
+        ("realization", [5, 6]),                       # realization matrices
+        ("realization", [[5, 6], [7, 8]]),             # realization rows
+        ("theta", 5),                                  # theta itself
+        ("theta", [5, 6]),                             # theta rows
+        ("basis_labels", 5),
+    ])
+    def test_malformed_level_exits_2(self, capsys, tmp_path, key, value):
+        doc = TestCustomSpec()._custom_doc()
+        doc["custom"][key] = value
+        spec = tmp_path / "pair.json"
+        spec.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "audit", "--spec", str(spec))
+        assert code == 2 and out == ""
+        assert "must be" in err
+
+
+class TestCustomInvolutionChecks:
+    def test_transpose_is_rejected(self, capsys, tmp_path):
+        # X -> X^T is an involutive anti-automorphism of gl_2, not an automorphism
+        spec = tmp_path / "pair.json"
+        spec.write_text(json.dumps(_gl2_custom_doc(lambda a, b: (b, a, 1))))
+        code, out, err = run(capsys, "triple", "--spec", str(spec), "--element", "0,0,0,0")
+        assert code == 2 and out == ""
+        assert "not a Lie algebra automorphism" in err
+
+    def test_negative_transpose_is_accepted(self, capsys, tmp_path):
+        spec = tmp_path / "pair.json"
+        spec.write_text(json.dumps(_gl2_custom_doc(lambda a, b: (b, a, -1))))
+        doc = run_json(capsys, "triple", "--spec", str(spec), "--element", "0,0,0,0")
+        assert doc["pair"]["dim_h"] == 1        # the +1 space is so_2
+
+
+class TestInputSizeCaps:
+    def test_nineteen_digit_prime_place_answers(self, capsys):
+        doc = run_json(capsys, "weil", "--place", "p:1000000000000000003", "--form", "1,2")
+        assert doc["place"] == "p:1000000000000000003"
+
+    def test_huge_discriminant_exits_2(self, capsys):
+        code, out, err = run(capsys, "audit", "--family", "quadratic_ext", "--n", "2",
+                             "--d", "1000000000000000003")
+        assert code == 2 and out == ""
+        assert "too large" in err

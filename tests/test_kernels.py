@@ -1,10 +1,20 @@
-"""The zero-skipping kernels agree exactly with naive dense reference versions."""
+"""The zero-skipping and sparse kernels agree exactly with naive dense reference versions."""
 
 from fractions import Fraction as F
+from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from sympair.linalg import Matrix, inverse, rank, rref, shift_diagonal
+from sympair.criteria import audit_orbits
+from sympair.liealg import LieAlgebra, build_gl, build_product, build_quadratic_extension
+from sympair.linalg import Matrix, coords_in_basis, inverse, rank, rref, shift_diagonal
+from sympair.pairs import (
+    SymmetricPair,
+    descendant,
+    make_diagonal_pair,
+    make_quadratic_ext_pair,
+)
 from sympair.scalars import QuadExt
 
 
@@ -118,3 +128,101 @@ def test_quadext_kernels_match_dense(n, data):
     if len(want_pivots) == n:
         ident = [[QuadExt(F(int(i == j)), F(0), F(-1)) for j in range(n)] for i in range(n)]
         assert naive_matmul(a, inverse(Matrix(a)).rows) == ident
+
+
+# ---------------------------------------------------------------------------
+# The sparse structure constants and involution against dense references
+# ---------------------------------------------------------------------------
+
+def _descendant_pair():
+    # centralizer of (A, -A) for the split semisimple A = [[1, 1, 0], [0, 2, 0], [0, 0, 1]]:
+    # its basis mixes matrix entries, so rows and realizations overlap
+    a = [F(e) for e in (1, 1, 0, 0, 2, 0, 0, 0, 1)]
+    return descendant(make_diagonal_pair(3), a + [-e for e in a])
+
+
+def _conjugation_pair():
+    # theta = Ad(s) on gl_3 for the involution s = 2 v w^T - I: every column is dense
+    s = [[F(2 * wj - int(i == j)) for j, wj in enumerate((1, 2, -2))] for i in range(3)]
+    g = build_gl(3)
+    theta = Matrix.from_columns([[s[i][a] * s[b][j] for i in range(3) for j in range(3)]
+                                 for a in range(3) for b in range(3)])
+    return SymmetricPair(g, theta, g.trace_form())
+
+
+@lru_cache(maxsize=None)
+def sample_pairs():
+    return (make_diagonal_pair(2), make_quadratic_ext_pair(2, 5), _descendant_pair(),
+            _conjugation_pair())
+
+
+def naive_bracket(table, x, y):
+    d = len(x)
+    return [sum((x[i] * y[j] * table[i][j][k] for i in range(d) for j in range(d)), F(0))
+            for k in range(d)]
+
+
+def naive_ad(table, x):
+    d = len(x)
+    return [[sum((x[i] * table[i][j][k] for i in range(d)), F(0)) for j in range(d)]
+            for k in range(d)]
+
+
+def naive_realize(mats, x):
+    size = mats[0].nrows
+    return [[sum((c * m.rows[r][s] for c, m in zip(x, mats)), F(0)) for s in range(size)]
+            for r in range(size)]
+
+
+@st.composite
+def pair_and_vectors(draw, count):
+    pair = sample_pairs()[draw(st.integers(0, len(sample_pairs()) - 1))]
+    d = pair.dim_g
+    return pair, [draw(sparse_rows(1, d))[0] for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_and_vectors(2))
+def test_bracket_and_ad_match_dense_table(drawn):
+    pair, (x, y) = drawn
+    g = pair.algebra
+    assert g.bracket(x, y) == naive_bracket(g.table, x, y)
+    assert g.ad(x).rows == naive_ad(g.table, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_and_vectors(1))
+def test_realize_and_theta_apply_match_dense(drawn):
+    pair, (x,) = drawn
+    g = pair.algebra
+    assert g.realize(x).rows == naive_realize(g.realization, x)
+    assert pair.theta_apply(x) == naive_matvec(pair.theta.rows, x)
+    assert pair.in_h(x) == (naive_matvec(pair.theta.rows, x) == x)
+    assert pair.in_gsigma(x) == (naive_matvec(pair.theta.rows, x) == [-a for a in x])
+
+
+@pytest.mark.parametrize("algebra", [build_gl(n) for n in range(1, 5)]
+                         + [build_product(build_gl(2), build_gl(3))]
+                         + [build_quadratic_extension(build_gl(2), d) for d in (-1, 2, 5)],
+                         ids=["gl1", "gl2", "gl3", "gl4", "gl2xgl3", "qe-1", "qe2", "qe5"])
+def test_built_rows_are_realization_commutators(algebra):
+    """The sparse row of [e_i, e_j] is the coordinate vector of rho_i rho_j - rho_j rho_i."""
+    rho = algebra.realization
+    index = [(i, j) for i in range(algebra.dim) for j in range(algebra.dim)]
+    flat = [[e for row in m.rows for e in row] for m in rho]
+    comms = [[e for row in (rho[i] @ rho[j] - rho[j] @ rho[i]).rows for e in row]
+             for i, j in index]
+    for (i, j), want in zip(index, coords_in_basis(flat, comms)):
+        assert algebra.sparse_row(i, j) == tuple((k, c) for k, c in enumerate(want) if c)
+
+
+def test_built_in_pairs_never_build_the_dense_table(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense structure-constant table was materialized")
+
+    monkeypatch.setattr(LieAlgebra, "table", property(refuse))
+    for n in (1, 2, 3):
+        pair = make_diagonal_pair(n)
+        audit_orbits(pair)
+    _descendant_pair()
+    audit_orbits(make_quadratic_ext_pair(2, -1))

@@ -6,9 +6,11 @@ from fractions import Fraction as F
 import pytest
 
 from sympair.errors import PreconditionError, ShapeError
+from sympair.liealg import LieAlgebra, build_gl
 from sympair.linalg import Matrix, inverse, rank
 from sympair.pairs import (
     GroupElement,
+    SymmetricPair,
     cone_membership,
     descendant,
     descendant_at_group_element,
@@ -401,3 +403,44 @@ def _to_ambient(sub, v):
         for j in range(n):
             out.append(m.rows[n + i][n + j])
     return out
+
+
+class TestAutomorphismCheck:
+    """SymmetricPair compares theta[e_i, e_j] with [theta e_i, theta e_j] for every i < j."""
+
+    def test_transpose_on_gl2_is_rejected(self):
+        g = build_gl(2)
+        theta = Matrix([[F(int(2 * b + a == r)) for a in range(2) for b in range(2)]
+                        for r in range(4)])      # E_ab -> E_ba
+        assert theta @ theta == Matrix.identity(4)
+        with pytest.raises(ShapeError, match="not a Lie algebra automorphism"):
+            SymmetricPair(g, theta, g.trace_form())
+        SymmetricPair(g, -theta, g.trace_form())  # X -> -X^T is an automorphism
+
+    def test_only_the_last_basis_pair_fails(self):
+        # basis z, c1, c2, x, y with [x, y] = z as the only nonzero bracket
+        rows = {(3, 4): ((0, F(1)),), (4, 3): ((0, F(-1)),)}
+        heis = LieAlgebra(["z", "c1", "c2", "x", "y"], rows)
+        form = Matrix.identity(5)
+        assert SymmetricPair(heis, Matrix.identity(5), form).dim_h == 5
+        # flipping y alone breaks [x, y] = z, and only there: (3, 4) is the last pair
+        signs = [1, 1, -1, 1, -1]
+        theta = Matrix([[F(signs[i] if i == j else 0) for j in range(5)] for i in range(5)])
+        with pytest.raises(ShapeError, match=r"automorphism at \(3, 4\)"):
+            SymmetricPair(heis, theta, form)
+
+    def test_dense_conjugation_is_accepted(self):
+        # theta = Ad(s) for the involution s = 2 v w^T - I, v = (1,1,1), w = (1,2,-2)
+        s = [[F(2 * wj - int(i == j)) for j, wj in enumerate((1, 2, -2))] for i in range(3)]
+        g = build_gl(3)
+        cols = []
+        for a in range(3):
+            for b in range(3):
+                # s E_ab s^{-1} = s E_ab s has entry s[i][a] * s[b][j] at (i, j)
+                cols.append([s[i][a] * s[b][j] for i in range(3) for j in range(3)])
+        theta = Matrix.from_columns(cols)
+        assert max(sum(1 for e in col if e) for col in cols) == 9
+        pair = SymmetricPair(g, theta, g.trace_form())
+        assert (pair.dim_h, pair.dim_gsigma) == (5, 4)   # gl_2 + gl_1 inside gl_3
+        for b in pair.gsigma_basis:
+            assert pair.in_gsigma(b) and pair.theta_apply(b) == theta.matvec(b)

@@ -1,12 +1,14 @@
 """Local constants: Hilbert symbols, eighth-root constants, the Gauss-sum oracle."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from sympair.errors import InputError, PreconditionError
 from sympair.weil import (
+    MR_EXACT_BELOW,
     DiagonalQuadraticForm,
     EighthRoot,
     Place,
@@ -20,6 +22,7 @@ from sympair.weil import (
     null_cone_member,
     weil_gamma,
     weil_gamma_scalar,
+    _is_prime,
 )
 
 R = Place.real()
@@ -278,3 +281,36 @@ class TestFormValidation:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             DiagonalQuadraticForm(())
+
+
+class TestPrimality:
+    """Place validation uses deterministic Miller-Rabin, not trial division."""
+
+    def test_agrees_with_a_sieve_below_1e5(self):
+        limit = 10 ** 5
+        sieve = [False, False] + [True] * (limit - 2)
+        for i in range(2, int(limit ** 0.5) + 1):
+            if sieve[i]:
+                sieve[i * i::i] = [False] * len(sieve[i * i::i])
+        assert [n for n in range(limit) if _is_prime(n)] == \
+            [n for n in range(limit) if sieve[n]]
+
+    @pytest.mark.parametrize("n", [561, 1105, 1729, 2047, 3215031751])
+    def test_carmichael_and_strong_pseudoprimes_rejected(self, n):
+        assert not _is_prime(n)
+        with pytest.raises(InputError):
+            Place.p_adic(n)
+
+    def test_nineteen_digit_place_is_fast(self):
+        start = time.perf_counter()
+        place = Place.parse("p:1000000000000000003")
+        assert time.perf_counter() - start < 1.0
+        assert place.p == 10 ** 18 + 3
+        with pytest.raises(InputError):
+            Place.parse("p:1000000000000000001")    # 101 * 9901 * 999999000001
+
+    def test_beyond_exact_range_is_bad_input(self):
+        mersenne = 2 ** 89 - 1      # prime, but past the exact Miller-Rabin range
+        assert mersenne > MR_EXACT_BELOW
+        with pytest.raises(InputError, match="too large"):
+            Place.p_adic(mersenne)
