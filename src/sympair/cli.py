@@ -10,7 +10,7 @@ Subcommands:
   infer    closure of a fact file over the built-in implication rules
 
 Exit codes: 0 success, 1 a criterion failed (some pass flag is false),
-2 bad input, 3 internal invariant violation.
+2 bad input, 3 internal invariant violation or any other unexpected error.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .pairs import descendant, descendant_dimension_identity
 from .report import (
     DEFAULT_MAX_ORBIT_N,
     SCHEMA_VERSION,
+    PairSpec,
     audit_report,
     build_pair,
     fmt,
@@ -51,9 +52,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except InvariantViolation as exc:
         print("INVARIANT VIOLATED: %s" % exc, file=sys.stderr)
-        print("a structural guarantee of the computation failed; "
-              "this is a bug or corrupted input, not a criterion failure", file=sys.stderr)
-        return 3
+    except Exception as exc:
+        print("INTERNAL ERROR: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+    # Only the two branches above fall through to the bug banner.
+    print("a structural guarantee of the computation failed; "
+          "this is a bug or corrupted input, not a criterion failure", file=sys.stderr)
+    return 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,7 +108,7 @@ def _add_pair_args(p: argparse.ArgumentParser):
                         % DEFAULT_MAX_ORBIT_N)
 
 
-def _pair_from_args(args) -> tuple:
+def _spec_from_args(args) -> PairSpec:
     if args.spec:
         doc = _load_json(args.spec)
         spec = parse_pair_spec(doc)
@@ -121,7 +125,7 @@ def _pair_from_args(args) -> tuple:
         if args.max_orbit_n < 1:
             raise InputError("--max-orbit-n must be positive")
         spec.max_orbit_n = args.max_orbit_n
-    return spec, build_pair(spec)
+    return spec
 
 
 def _load_json(path: str) -> dict:
@@ -144,10 +148,11 @@ def _emit(text: str, out: Optional[str]):
 
 
 def _cmd_audit(args) -> int:
-    spec, pair = _pair_from_args(args)
+    spec = _spec_from_args(args)
     if spec.family != "custom" and spec.n > spec.max_orbit_n:
         raise InputError("n=%d exceeds the orbit sweep cap %d (raise --max-orbit-n)"
                          % (spec.n, spec.max_orbit_n))
+    pair = build_pair(spec)
     audits = audit_orbits(pair)
     doc = audit_report(pair, audits)
     _emit(render_json(doc), args.out)
@@ -155,7 +160,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_triple(args) -> int:
-    _, pair = _pair_from_args(args)
+    pair = build_pair(_spec_from_args(args))
     x = parse_vector(args.element.split(","), pair.dim_g)
     t = theta_adapt(pair, x)
     doc = {
@@ -169,7 +174,7 @@ def _cmd_triple(args) -> int:
 
 
 def _cmd_descend(args) -> int:
-    _, pair = _pair_from_args(args)
+    pair = build_pair(_spec_from_args(args))
     x = parse_vector(args.element.split(","), pair.dim_g)
     sub = descendant(pair, x)
     lhs, rhs = descendant_dimension_identity(pair, x, sub)

@@ -30,10 +30,12 @@ from .linalg import (
     Matrix,
     Vector,
     coords_in_basis,
+    echelon_subspace,
     integer_spectrum,
     is_nilpotent_matrix,
     is_zero_vector,
     rank,
+    rref,
 )
 from .pairs import FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT, SymmetricPair
 from .scalars import ONE, ZERO
@@ -337,7 +339,7 @@ def eigen_check(pair: SymmetricPair, x: Vector, triple: SL2Triple,
             if not pair.in_gsigma(v):
                 raise InvariantViolation("[x, h] left the -1 eigenspace")
             image.append(v)
-    img_basis = _echelon_rows(image)
+    img_basis = echelon_subspace(image)
     complement = _complete_basis(img_basis, pair.gsigma_basis)
     if not complement:
         return ()
@@ -354,33 +356,17 @@ def eigen_check(pair: SymmetricPair, x: Vector, triple: SL2Triple,
     return tuple(sorted(spec.items()))
 
 
-def _echelon_rows(vectors: Sequence[Vector]) -> List[Vector]:
-    if not vectors:
-        return []
-    from .linalg import echelon_subspace
-    return echelon_subspace(list(vectors))
-
-
 def _complete_basis(base: List[Vector], ambient: Sequence[Vector]) -> List[Vector]:
-    """Ambient vectors that extend base to a basis of span(ambient), greedily."""
-    rows = [list(v) for v in base]
-    chosen: List[Vector] = []
-    pivots: List[int] = []
-    for row in rows:
-        pivots.append(next(i for i, e in enumerate(row) if e))
-    for cand in ambient:
-        v = list(cand)
-        for row, p in zip(rows, pivots):
-            if v[p]:
-                c = v[p] / row[p]
-                v = [a - c * b if b else a for a, b in zip(v, row)]
-        lead = next((i for i, e in enumerate(v) if e), None)
-        if lead is None:
-            continue
-        rows.append(v)
-        pivots.append(lead)
-        chosen.append(list(cand))
-    return chosen
+    """Ambient vectors that extend the independent base to a basis of span(ambient).
+
+    The pivot columns of rref(base | ambient) are the greedy choice: each
+    ambient vector not in the span of base and the vectors chosen before it.
+    """
+    if not ambient:
+        return []
+    k = len(base)
+    _, pivots = rref(Matrix.from_columns(list(base) + list(ambient)))
+    return [list(ambient[c - k]) for c in pivots[k:]]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Exact dense linear algebra over Q and Q(sqrt(d)).
+"""Exact dense linear algebra over Q with one elimination routine.
 
-Everything here is pure and deterministic: elimination always pivots on
-the first row with a nonzero entry in the current column, and reduced row
-echelon form is canonical, so kernel bases and particular solutions are
-reproducible across runs.  No floating point anywhere.
+Everything here is pure and deterministic: ``rref`` is the only
+Gauss-Jordan loop, it always pivots on the first row with a nonzero entry
+in the current column, and reduced row echelon form is canonical, so
+ranks, kernel bases, solutions, echelon bases and Krylov annihilators are
+reproducible across runs.  No floating point anywhere.  Scalars start
+from the Fraction constants ZERO and ONE; QuadExt entries work unchanged
+through their reflected operators against Fraction.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .errors import InvariantViolation, ShapeError
-from .scalars import ONE, ZERO, scalar_one_like, scalar_zero_like
+from .scalars import ONE, ZERO
 
 Vector = List
 
@@ -34,7 +37,7 @@ def is_zero_vector(x: Vector) -> bool:
 
 
 class Matrix:
-    """Dense matrix over a fixed scalar field, immutable by convention.
+    """Dense matrix over Q, immutable by convention.
 
     Rows are lists of Fraction or QuadExt entries.  Operations return new
     matrices; nothing mutates after construction, so instances are safe to
@@ -55,22 +58,16 @@ class Matrix:
         self.ncols = width
 
     @staticmethod
-    def identity(n: int, like=ONE) -> "Matrix":
-        one = scalar_one_like(like)
-        zero = scalar_zero_like(like)
-        return Matrix([[one if i == j else zero for j in range(n)] for i in range(n)])
+    def identity(n: int) -> "Matrix":
+        return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def zeros(nrows: int, ncols: int, like=ONE) -> "Matrix":
-        zero = scalar_zero_like(like)
-        return Matrix([[zero] * ncols for _ in range(nrows)])
+    def zeros(nrows: int, ncols: int) -> "Matrix":
+        return Matrix([[ZERO] * ncols for _ in range(nrows)])
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence]) -> "Matrix":
         return Matrix([list(r) for r in zip(*cols)])
-
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -84,7 +81,7 @@ class Matrix:
     def trace(self):
         if not self.is_square():
             raise ShapeError("trace of non-square matrix")
-        t = scalar_zero_like(self.rows[0][0])
+        t = ZERO
         for i in range(self.nrows):
             t = t + self.rows[i][i]
         return t
@@ -113,12 +110,11 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ShapeError("matmul shape mismatch: %dx%d @ %dx%d"
                              % (self.nrows, self.ncols, other.nrows, other.ncols))
-        zero = scalar_zero_like(self.rows[0][0])
         width = other.ncols
         b_nz = [[(k, b) for k, b in enumerate(row) if b] for row in other.rows]
         out = []
         for row in self.rows:
-            acc = [zero] * width
+            acc = [ZERO] * width
             for j, a in enumerate(row):
                 if a:
                     for k, b in b_nz[j]:
@@ -129,11 +125,10 @@ class Matrix:
     def matvec(self, v: Vector) -> Vector:
         if len(v) != self.ncols:
             raise ShapeError("matvec length mismatch")
-        zero = scalar_zero_like(self.rows[0][0])
         v_nz = {j: c for j, c in enumerate(v) if c}
         out = []
         for row in self.rows:
-            acc = zero
+            acc = ZERO
             for j, c in v_nz.items():
                 e = row[j]
                 if e:
@@ -177,7 +172,7 @@ def rref(mat: Matrix):
         pivot = prow[c]
         nz = [(j, prow[j]) for j in range(c, n) if prow[j]]
         if pivot != 1:
-            inv = 1 / pivot if isinstance(pivot, Fraction) else pivot.inv()
+            inv = 1 / pivot
             nz = [(j, e * inv) for j, e in nz]
             for j, e in nz:
                 prow[j] = e
@@ -210,12 +205,10 @@ def kernel_basis(mat: Matrix) -> List[Vector]:
     free = [c for c in range(n) if c not in pivot_set]
     if not free:
         return []
-    zero = scalar_zero_like(mat.rows[0][0])
-    one = scalar_one_like(mat.rows[0][0])
     vecs = []
     for fc in free:
-        v = [zero] * n
-        v[fc] = one
+        v = [ZERO] * n
+        v[fc] = ONE
         for t, pc in enumerate(pivots):
             v[pc] = -red.rows[t][fc]
         vecs.append(v)
@@ -249,10 +242,9 @@ def solve_many(mat: Matrix, bs: Sequence[Vector]) -> Optional[List[Vector]]:
     for i in range(npiv, red.nrows):
         if any(red.rows[i][n + j] for j in range(k)):
             return None
-    zero = scalar_zero_like(mat.rows[0][0])
     outs = []
     for j in range(k):
-        x = [zero] * n
+        x = [ZERO] * n
         for t, pc in enumerate(pivots):
             x[pc] = red.rows[t][n + j]
         outs.append(x)
@@ -263,53 +255,12 @@ def inverse(mat: Matrix) -> Matrix:
     if not mat.is_square():
         raise ShapeError("inverse of non-square matrix")
     n = mat.nrows
-    ident = Matrix.identity(n, like=mat.rows[0][0])
+    ident = Matrix.identity(n)
     aug = Matrix([mat.rows[i] + ident.rows[i] for i in range(n)])
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ShapeError("matrix is singular")
     return Matrix([r[n:] for r in red.rows])
-
-
-def determinant(mat: Matrix):
-    """Exact determinant via elimination without pivot normalization."""
-    if not mat.is_square():
-        raise ShapeError("determinant of non-square matrix")
-    rows = [list(r) for r in mat.rows]
-    n = len(rows)
-    det = scalar_one_like(rows[0][0])
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            return scalar_zero_like(rows[0][0])
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            det = -det
-        pivot = rows[c][c]
-        det = det * pivot
-        inv = 1 / pivot if isinstance(pivot, Fraction) else pivot.inv()
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[c])]
-    return det
-
-
-def matrix_power_is_zero(mat: Matrix) -> bool:
-    """Nilpotency by repeated squaring: A**(2^k) with 2^k >= n vanishes iff nilpotent."""
-    if not mat.is_square():
-        raise ShapeError("nilpotency of non-square matrix")
-    b = mat
-    steps = max(1, mat.nrows.bit_length())
-    for _ in range(steps):
-        if b.is_zero():
-            return True
-        b = b @ b
-    return b.is_zero()
 
 
 def shift_diagonal(mat: Matrix, c) -> Matrix:
@@ -339,14 +290,6 @@ class Poly:
             cs = [ZERO]
         self.coeffs = cs
 
-    @staticmethod
-    def x() -> "Poly":
-        return Poly([ZERO, ONE])
-
-    @staticmethod
-    def constant(c) -> "Poly":
-        return Poly([c])
-
     def degree(self) -> int:
         if len(self.coeffs) == 1 and not self.coeffs[0]:
             return -1
@@ -364,7 +307,7 @@ class Poly:
             raise ShapeError("monic of zero polynomial")
         if lead == 1:
             return self
-        inv = 1 / lead if isinstance(lead, Fraction) else lead.inv()
+        inv = 1 / lead
         return Poly([c * inv for c in self.coeffs])
 
     def __eq__(self, other):
@@ -390,9 +333,8 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
-            return Poly([scalar_zero_like(self.coeffs[0])])
-        zero = scalar_zero_like(self.coeffs[0])
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return Poly([ZERO])
+        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -404,21 +346,19 @@ class Poly:
     def divmod(self, other: "Poly"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        zero = scalar_zero_like(other.coeffs[0])
         rem = list(self.coeffs)
         dn, dd = self.degree(), other.degree()
         if dn < dd:
-            return Poly([zero]), Poly(rem)
-        lead = other.leading()
-        inv = 1 / lead if isinstance(lead, Fraction) else lead.inv()
-        quot = [zero] * (dn - dd + 1)
+            return Poly([ZERO]), Poly(rem)
+        inv = 1 / other.leading()
+        quot = [ZERO] * (dn - dd + 1)
         for k in range(dn - dd, -1, -1):
             c = rem[dd + k] * inv
             quot[k] = c
             if c:
                 for j, b in enumerate(other.coeffs):
                     rem[j + k] = rem[j + k] - c * b
-        return Poly(quot), Poly(rem[:dd] if dd > 0 else [zero])
+        return Poly(quot), Poly(rem[:dd] if dd > 0 else [ZERO])
 
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[1]
@@ -442,18 +382,18 @@ class Poly:
 
     def derivative(self) -> "Poly":
         if self.degree() < 1:
-            return Poly([scalar_zero_like(self.coeffs[0])])
+            return Poly([ZERO])
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def eval_scalar(self, x):
-        acc = scalar_zero_like(x)
+        acc = ZERO
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
     def eval_matrix(self, mat: Matrix) -> Matrix:
         n = mat.nrows
-        acc = Matrix.zeros(n, n, like=mat.rows[0][0])
+        acc = Matrix.zeros(n, n)
         for c in reversed(self.coeffs):
             acc = acc @ mat
             if c:
@@ -463,9 +403,6 @@ class Poly:
     def is_squarefree(self) -> bool:
         g = self.gcd(self.derivative())
         return g.degree() <= 0
-
-    def is_power_of_x(self) -> bool:
-        return self.degree() >= 1 and all(not c for c in self.coeffs[:-1])
 
     def rational_roots(self) -> Optional[List[Fraction]]:
         """All roots with multiplicity if the polynomial splits over Q, else None.
@@ -547,15 +484,12 @@ def minimal_polynomial(mat: Matrix) -> Poly:
     if not mat.is_square():
         raise ShapeError("minimal polynomial of non-square matrix")
     n = mat.nrows
-    like = mat.rows[0][0]
-    zero = scalar_zero_like(like)
-    one = scalar_one_like(like)
-    m = Poly([one])
+    m = Poly([ONE])
     for seed in range(n):
         if m.degree() == n:
             break
-        v = [zero] * n
-        v[seed] = one
+        v = [ZERO] * n
+        v[seed] = ONE
         # Skip seeds already annihilated by the current candidate.
         if is_zero_vector(_apply_poly(mat, m, v)):
             continue
@@ -565,7 +499,7 @@ def minimal_polynomial(mat: Matrix) -> Poly:
 
 
 def _apply_poly(mat: Matrix, p: Poly, v: Vector) -> Vector:
-    acc = [scalar_zero_like(v[0])] * len(v)
+    acc = [ZERO] * len(v)
     for c in reversed(p.coeffs):
         acc = mat.matvec(acc)
         if c:
@@ -574,48 +508,20 @@ def _apply_poly(mat: Matrix, p: Poly, v: Vector) -> Vector:
 
 
 def _vector_annihilator(mat: Matrix, v: Vector) -> Poly:
-    """Minimal monic q with q(mat) @ v = 0, via incremental echelon."""
-    n = len(v)
-    like = v[0]
-    zero = scalar_zero_like(like)
-    one = scalar_one_like(like)
-    # echelon rows together with the polynomial combination that produced them
-    ech: List[Vector] = []
-    combos: List[List] = []
-    lead_cols: List[int] = []
-    cur = list(v)
-    power = 0
-    while True:
-        combo = [zero] * (power + 1)
-        combo[power] = one
-        w = list(cur)
-        for row, rcombo, lc in zip(ech, combos, lead_cols):
-            if w[lc]:
-                f = w[lc]
-                w = [a - f * b if b else a for a, b in zip(w, row)]
-                combo = _combo_sub(combo, f, rcombo, zero)
-        lead = next((j for j, e in enumerate(w) if e), None)
-        if lead is None:
-            return Poly(combo).monic()
-        pivot = w[lead]
-        inv = 1 / pivot if isinstance(pivot, Fraction) else pivot.inv()
-        ech.append([e * inv for e in w])
-        combos.append([c * inv for c in combo])
-        lead_cols.append(lead)
-        if power + 1 > n:
-            raise InvariantViolation("Krylov sequence failed to close")
-        cur = mat.matvec(cur)
-        power += 1
+    """Minimal monic q with q(mat) @ v = 0, from one rref of the Krylov columns.
 
-
-def _combo_sub(combo, f, rcombo, zero):
-    out = list(combo)
-    while len(out) < len(rcombo):
-        out.append(zero)
-    for i, c in enumerate(rcombo):
-        if c:
-            out[i] = out[i] - f * c
-    return out
+    Among v, Av, ..., A^n v the first k columns are independent and every
+    later one lies in their span, so the pivots are exactly 0..k-1 and
+    column k of the reduced form holds A^k v in the basis v, ..., A^(k-1) v.
+    """
+    krylov = [list(v)]
+    for _ in range(len(v)):
+        krylov.append(mat.matvec(krylov[-1]))
+    red, pivots = rref(Matrix.from_columns(krylov))
+    k = len(pivots)
+    if pivots != list(range(k)):
+        raise InvariantViolation("Krylov pivots %s are not a prefix" % pivots)
+    return Poly([-red.rows[t][k] for t in range(k)] + [ONE])
 
 
 def is_semisimple_matrix(mat: Matrix) -> bool:
@@ -624,11 +530,20 @@ def is_semisimple_matrix(mat: Matrix) -> bool:
 
 
 def is_nilpotent_matrix(mat: Matrix) -> bool:
-    return matrix_power_is_zero(mat)
+    """Nilpotency by repeated squaring: A**(2^k) with 2^k >= n vanishes iff nilpotent."""
+    if not mat.is_square():
+        raise ShapeError("nilpotency of non-square matrix")
+    b = mat
+    steps = max(1, mat.nrows.bit_length())
+    for _ in range(steps):
+        if b.is_zero():
+            return True
+        b = b @ b
+    return b.is_zero()
 
 
 def is_unipotent_matrix(mat: Matrix) -> bool:
-    return matrix_power_is_zero(shift_diagonal(mat, -1))
+    return is_nilpotent_matrix(shift_diagonal(mat, -1))
 
 
 def split_rational_spectrum(mat: Matrix) -> Optional[List[Fraction]]:

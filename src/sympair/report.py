@@ -35,6 +35,13 @@ DEFAULT_MAX_ORBIT_N = 6
 
 
 def parse_rational(text) -> Fraction:
+    """An exact rational from an int, a string like '2/3', or a Fraction.
+
+    JSON booleans and floats are refused: true is not the number 1, and a
+    float such as 0.1 is only a binary approximation of a rational.
+    """
+    if isinstance(text, (bool, float)):
+        raise InputError("bad rational %r: use an integer or a string like '2/3'" % (text,))
     try:
         return rat(text)
     except (ValueError, ZeroDivisionError, TypeError) as exc:

@@ -156,16 +156,3 @@ class QuadExt:
             return str(self.a)
         return "(%s + %s*w)" % (self.a, self.b)
 
-
-def scalar_zero_like(x):
-    """Additive identity in the field of x."""
-    if isinstance(x, QuadExt):
-        return QuadExt(ZERO, ZERO, x.d)
-    return ZERO
-
-
-def scalar_one_like(x):
-    """Multiplicative identity in the field of x."""
-    if isinstance(x, QuadExt):
-        return QuadExt(ONE, ZERO, x.d)
-    return ONE

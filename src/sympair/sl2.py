@@ -31,7 +31,6 @@ from .linalg import (
     is_nilpotent_matrix,
     is_zero_vector,
     kernel_basis,
-    matrix_power_is_zero,
     shift_diagonal,
     solve,
     vec_scale,
@@ -59,7 +58,7 @@ class SL2Triple:
 def _is_ad_nilpotent(g: LieAlgebra, x: Vector) -> bool:
     if g.realization is not None:
         return is_nilpotent_matrix(g.realize(x))
-    return matrix_power_is_zero(g.ad(x))
+    return is_nilpotent_matrix(g.ad(x))
 
 
 def _random_kernel_shift(base: Vector, system: Matrix, rng: Optional[random.Random]) -> Vector:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import sympair.cli
 from sympair.cli import main
 from sympair.liealg import build_gl
 
@@ -57,6 +58,14 @@ class TestAudit:
         code, _, err = run(capsys, "audit", "--family", "diagonal", "--n", "3",
                            "--max-orbit-n", "2")
         assert code == 2
+
+    def test_orbit_cap_checked_before_building_the_pair(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(sympair.cli, "build_pair", built.append)
+        code, out, err = run(capsys, "audit", "--family", "diagonal", "--n", "16")
+        assert code == 2 and out == ""
+        assert "cap" in err
+        assert built == []
 
     def test_bad_inputs_exit_2(self, capsys):
         assert run(capsys, "audit", "--family", "diagonal")[0] == 2
@@ -246,6 +255,28 @@ class TestSpecRejectsBooleans:
                                          {"family": "quadratic_ext", "n": 2, "d": True})
         assert code == 2 and out == ""
         assert "integer discriminant" in err
+
+
+class TestSpecRejectsInexactRationals:
+    """JSON booleans and floats are not exact rationals; accepted silently they would
+    turn false into 0 and 0.0 into 0 and let the pair through."""
+
+    def triple_with_cell(self, capsys, tmp_path, value):
+        doc = TestCustomSpec()._custom_doc()
+        doc["custom"]["structure_constants"][0][1][0] = value
+        spec = tmp_path / "pair.json"
+        spec.write_text(json.dumps(doc))
+        return run(capsys, "triple", "--spec", str(spec), "--element", "0,0")
+
+    def test_boolean(self, capsys, tmp_path):
+        code, out, err = self.triple_with_cell(capsys, tmp_path, False)
+        assert code == 2 and out == ""
+        assert "bad rational False" in err
+
+    def test_float(self, capsys, tmp_path):
+        code, out, err = self.triple_with_cell(capsys, tmp_path, 0.0)
+        assert code == 2 and out == ""
+        assert "bad rational 0.0" in err
 
 
 def _gl2_custom_doc(theta_of):

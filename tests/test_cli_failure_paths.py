@@ -34,3 +34,16 @@ def test_invariant_violation_exits_3_with_banner(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "INVARIANT VIOLATED" in captured.err
+
+
+def test_unexpected_exception_exits_3_with_banner(monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("synthetic failure outside the error hierarchy")
+
+    monkeypatch.setattr(sympair.cli, "_cmd_audit", boom)
+    code = main(["audit", "--family", "diagonal", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "INTERNAL ERROR: RuntimeError: synthetic failure" in captured.err
+    assert "this is a bug" in captured.err
+    assert "Traceback" not in captured.err

@@ -1,4 +1,4 @@
-"""The zero-skipping and sparse kernels agree exactly with naive dense reference versions."""
+"""The zero-skipping, sparse and rref-based kernels agree exactly with naive reference versions."""
 
 from fractions import Fraction as F
 from functools import lru_cache
@@ -6,9 +6,20 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sympair.criteria import audit_orbits
+from sympair.criteria import _complete_basis, audit_orbits
 from sympair.liealg import LieAlgebra, build_gl, build_product, build_quadratic_extension
-from sympair.linalg import Matrix, coords_in_basis, inverse, rank, rref, shift_diagonal
+from sympair.linalg import (
+    Matrix,
+    Poly,
+    _vector_annihilator,
+    coords_in_basis,
+    echelon_subspace,
+    inverse,
+    minimal_polynomial,
+    rank,
+    rref,
+    shift_diagonal,
+)
 from sympair.pairs import (
     SymmetricPair,
     descendant,
@@ -128,6 +139,91 @@ def test_quadext_kernels_match_dense(n, data):
     if len(want_pivots) == n:
         ident = [[QuadExt(F(int(i == j)), F(0), F(-1)) for j in range(n)] for i in range(n)]
         assert naive_matmul(a, inverse(Matrix(a)).rows) == ident
+
+
+# ---------------------------------------------------------------------------
+# Krylov annihilators and basis completion against incremental elimination
+# ---------------------------------------------------------------------------
+
+def incremental_annihilator(mat, v):
+    """Minimal monic q with q(mat) @ v = 0: echelonize v, Av, ... one at a time,
+    tracking the polynomial behind each echelon row, until a vector reduces to 0."""
+    ech, combos, lead_cols = [], [], []
+    cur = list(v)
+    power = 0
+    while True:
+        combo = [F(0)] * power + [F(1)]
+        w = list(cur)
+        for row, rcombo, lc in zip(ech, combos, lead_cols):
+            f = w[lc]
+            if f:
+                w = [a - f * b for a, b in zip(w, row)]
+                for i, rc in enumerate(rcombo):
+                    combo[i] -= f * rc
+        lead = next((j for j, e in enumerate(w) if e), None)
+        if lead is None:
+            return Poly(combo).monic()
+        inv = 1 / w[lead]
+        ech.append([e * inv for e in w])
+        combos.append([c * inv for c in combo])
+        lead_cols.append(lead)
+        cur = mat.matvec(cur)
+        power += 1
+
+
+def greedy_complete_basis(base, ambient):
+    """Ambient vectors kept one by one when they are not in the span of base
+    and the vectors kept before them."""
+    rows = [list(v) for v in base]
+    pivots = [next(i for i, e in enumerate(row) if e) for row in rows]
+    chosen = []
+    for cand in ambient:
+        v = list(cand)
+        for row, p in zip(rows, pivots):
+            if v[p]:
+                c = v[p] / row[p]
+                v = [a - c * b for a, b in zip(v, row)]
+        lead = next((i for i, e in enumerate(v) if e), None)
+        if lead is not None:
+            rows.append(v)
+            pivots.append(lead)
+            chosen.append(list(cand))
+    return chosen
+
+
+@st.composite
+def square_rows(draw, n):
+    """Sparse or dense n x n rows, or upper triangular ones with a repeated
+    diagonal from {-1, 0, 1}, which gives nontrivial Jordan blocks."""
+    rows = draw(sparse_rows(n, n))
+    if draw(st.booleans()):
+        for i in range(n):
+            rows[i][:i] = [F(0)] * i
+            rows[i][i] = F(draw(st.integers(-1, 1)))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_annihilators_match_incremental_elimination(n, data):
+    a = Matrix(data.draw(square_rows(n)))
+    v = data.draw(sparse_rows(1, n))[0]
+    assert _vector_annihilator(a, v) == incremental_annihilator(a, v)
+    want = Poly([F(1)])
+    for seed in range(n):
+        want = want.lcm(incremental_annihilator(a, [F(int(i == seed)) for i in range(n)]))
+    assert minimal_polynomial(a) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 7), st.integers(0, 8), st.data())
+def test_complete_basis_matches_greedy_choice(n, nbase, namb, data):
+    base = echelon_subspace(data.draw(sparse_rows(nbase, n)) if nbase else [])
+    ambient = data.draw(sparse_rows(namb, n)) if namb else []
+    # repeats of base or ambient vectors lie in the span and must be skipped
+    if base + ambient:
+        ambient += data.draw(st.lists(st.sampled_from(base + ambient), max_size=2))
+    assert _complete_basis(base, ambient) == greedy_complete_basis(base, ambient)
 
 
 # ---------------------------------------------------------------------------
