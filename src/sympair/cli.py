@@ -104,7 +104,8 @@ def _add_pair_args(p: argparse.ArgumentParser):
     p.add_argument("--d", type=int, help="discriminant for quadratic_ext")
     p.add_argument("--spec", help="JSON pair-spec file (required for custom)")
     p.add_argument("--max-orbit-n", type=int, default=None,
-                   help="largest inner size the orbit sweep accepts (default %d)"
+                   help="largest inner size n of a built-in pair, for every "
+                        "subcommand that builds one (default %d)"
                         % DEFAULT_MAX_ORBIT_N)
 
 
@@ -125,6 +126,9 @@ def _spec_from_args(args) -> PairSpec:
         if args.max_orbit_n < 1:
             raise InputError("--max-orbit-n must be positive")
         spec.max_orbit_n = args.max_orbit_n
+    if spec.family != "custom" and spec.n > spec.max_orbit_n:
+        raise InputError("n=%d exceeds the size cap %d on built-in pairs (raise --max-orbit-n)"
+                         % (spec.n, spec.max_orbit_n))
     return spec
 
 
@@ -148,11 +152,7 @@ def _emit(text: str, out: Optional[str]):
 
 
 def _cmd_audit(args) -> int:
-    spec = _spec_from_args(args)
-    if spec.family != "custom" and spec.n > spec.max_orbit_n:
-        raise InputError("n=%d exceeds the orbit sweep cap %d (raise --max-orbit-n)"
-                         % (spec.n, spec.max_orbit_n))
-    pair = build_pair(spec)
+    pair = build_pair(_spec_from_args(args))
     audits = audit_orbits(pair)
     doc = audit_report(pair, audits)
     _emit(render_json(doc), args.out)

@@ -22,7 +22,6 @@ from .linalg import (
     Vector,
     is_zero_vector,
     kernel_basis,
-    rank,
 )
 from .scalars import ONE, ZERO, is_square_free_non_square, rat
 
@@ -375,12 +374,4 @@ def _regular_rep_block(m: Matrix, n: int, disc: Fraction, plain: bool) -> Matrix
                 rows[i][n + j] = disc * v
                 rows[n + i][j] = v
     return Matrix(rows)
-
-
-# ---------------------------------------------------------------------------
-# Form diagnostics used by tests and pair validation
-# ---------------------------------------------------------------------------
-
-def form_radical_dimension(gram: Matrix) -> int:
-    return gram.nrows - rank(gram)
 

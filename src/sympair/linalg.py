@@ -12,10 +12,11 @@ through their reflected operators against Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Sequence
 
-from .errors import InvariantViolation, ShapeError
-from .scalars import ONE, ZERO
+from .errors import InputError, InvariantViolation, ShapeError
+from .scalars import MAX_DISCRIMINANT, ONE, ZERO
 
 Vector = List
 
@@ -199,12 +200,27 @@ def kernel_basis(mat: Matrix) -> List[Vector]:
     Basis vectors are linearly independent, annihilated by the matrix, and
     their count is ncols - rank.
     """
+    return echelon_subspace(_null_vectors(mat))
+
+
+def kernel_in_span(mat: Matrix, span: Sequence[Vector]) -> List[Vector]:
+    """Canonical (RREF-row) basis of {v in span(span) : mat @ v = 0}.
+
+    The null vectors of mat @ S (S: span vectors as columns) are mapped back
+    through S and echelonized once; a dependent span only adds zero images.
+    """
+    if not span:
+        return []
+    sub = Matrix.from_columns(list(span))
+    return echelon_subspace([sub.matvec(k) for k in _null_vectors(mat @ sub)])
+
+
+def _null_vectors(mat: Matrix) -> List[Vector]:
+    """One kernel vector per free column of rref(mat): 1 there, 0 at other free columns."""
     red, pivots = rref(mat)
     n = mat.ncols
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
-    if not free:
-        return []
     vecs = []
     for fc in free:
         v = [ZERO] * n
@@ -212,7 +228,7 @@ def kernel_basis(mat: Matrix) -> List[Vector]:
         for t, pc in enumerate(pivots):
             v[pc] = -red.rows[t][fc]
         vecs.append(v)
-    return rref(Matrix(vecs))[0].rows
+    return vecs
 
 
 def solve(mat: Matrix, b: Vector) -> Optional[Vector]:
@@ -313,24 +329,6 @@ class Poly:
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
-
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
             return Poly([ZERO])
@@ -391,15 +389,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def eval_matrix(self, mat: Matrix) -> Matrix:
-        n = mat.nrows
-        acc = Matrix.zeros(n, n)
-        for c in reversed(self.coeffs):
-            acc = acc @ mat
-            if c:
-                acc = shift_diagonal(acc, c)
-        return acc
-
     def is_squarefree(self) -> bool:
         g = self.gcd(self.derivative())
         return g.degree() <= 0
@@ -408,7 +397,9 @@ class Poly:
         """All roots with multiplicity if the polynomial splits over Q, else None.
 
         Repeated deflation by candidate roots from the rational root bound;
-        only valid for Fraction coefficients.
+        only valid for Fraction coefficients.  Candidates come by trial
+        division, so |a0 * an| (integer-scaled) above MAX_DISCRIMINANT is
+        refused with InputError instead of searched.
         """
         p = self.monic()
         roots: List[Fraction] = []
@@ -438,11 +429,7 @@ class Poly:
 
 def _find_rational_root(p: Poly) -> Optional[Fraction]:
     """One rational root of a monic Fraction polynomial, or None."""
-    from math import gcd
-
-    denom_lcm = 1
-    for c in p.coeffs:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
+    denom_lcm = lcm(*(c.denominator for c in p.coeffs))
     ints = [int(c * denom_lcm) for c in p.coeffs]
     if ints[0] == 0:
         return ZERO
@@ -450,6 +437,9 @@ def _find_rational_root(p: Poly) -> Optional[Fraction]:
     # divisors of ints[0]/gcd over divisors of L.
     a0 = abs(ints[0])
     an = abs(ints[-1])
+    if a0 * an > MAX_DISCRIMINANT:
+        raise InputError("spectrum too large for the exact rational-root search: "
+                         "|a0 * an| = %d > %d" % (a0 * an, MAX_DISCRIMINANT))
     for q in _divisors(an):
         for pnum in _divisors(a0):
             for cand in (Fraction(pnum, q), Fraction(-pnum, q)):
@@ -544,28 +534,6 @@ def is_nilpotent_matrix(mat: Matrix) -> bool:
 
 def is_unipotent_matrix(mat: Matrix) -> bool:
     return is_nilpotent_matrix(shift_diagonal(mat, -1))
-
-
-def split_rational_spectrum(mat: Matrix) -> Optional[List[Fraction]]:
-    """Eigenvalues with multiplicity for a semisimple matrix split over Q.
-
-    None means the minimal polynomial has an irrational root.  Callers
-    must have established semisimplicity; a split minimal polynomial with
-    deficient eigenspaces contradicts that and is raised loudly.
-    """
-    m = minimal_polynomial(mat)
-    roots = m.rational_roots()
-    if roots is None:
-        return None
-    out: List[Fraction] = []
-    n = mat.nrows
-    for r in sorted(set(roots)):
-        mult = n - rank(shift_diagonal(mat, -r))
-        out.extend([r] * mult)
-    if len(out) != n:
-        raise InvariantViolation(
-            "split minimal polynomial but defective eigenspaces: matrix is not semisimple")
-    return out
 
 
 def integer_spectrum(mat: Matrix, bound: int) -> dict:

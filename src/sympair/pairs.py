@@ -34,6 +34,7 @@ from .linalg import (
     is_unipotent_matrix,
     is_zero_vector,
     kernel_basis,
+    kernel_in_span,
     minimal_polynomial,
     rank,
     shift_diagonal,
@@ -157,26 +158,14 @@ class SymmetricPair:
 
     def centralizer_in(self, x: Vector, subspace: Sequence[Vector]) -> List[Vector]:
         """Echelon basis of {v in span(subspace) : [x, v] = 0}, in g coordinates."""
-        if not subspace:
-            return []
-        sub = Matrix.from_columns(list(subspace))
-        restricted = self.algebra.ad(x) @ sub
-        ker = kernel_basis(restricted)
-        return echelon_subspace([sub.matvec(k) for k in ker])
+        return kernel_in_span(self.algebra.ad(x), subspace)
 
     def invariants_in_gsigma(self) -> List[Vector]:
         """(g^sigma)^h: joint kernel of ad(h-basis) restricted to the -1 space."""
-        if not self.gsigma_basis:
-            return []
-        sub = Matrix.from_columns(self.gsigma_basis)
-        blocks = []
-        for hb in self.h_basis:
-            m = self.algebra.ad(hb) @ sub
-            blocks.extend(m.rows)
-        if not blocks:
+        if not self.h_basis:
             return list(self.gsigma_basis)
-        ker = kernel_basis(Matrix(blocks))
-        return echelon_subspace([sub.matvec(k) for k in ker])
+        stacked = Matrix([row for hb in self.h_basis for row in self.algebra.ad(hb).rows])
+        return kernel_in_span(stacked, self.gsigma_basis)
 
 
 def _combine(terms: Iterable[Tuple[Fraction, SparseRow]]) -> Dict[int, Fraction]:
@@ -330,24 +319,6 @@ def group_to_algebra_vector(pair: SymmetricPair, m: Matrix) -> Vector:
     raise PreconditionError("group operations are only available for built-in families")
 
 
-def rational_realization(pair: SymmetricPair, g: GroupElement) -> Matrix:
-    """The group element as a rational matrix in the algebra's realization."""
-    if pair.family == FAMILY_DIAGONAL:
-        return g.matrix
-    n = pair.inner_n
-    disc = pair.disc
-    rows = [[ZERO] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            e = g.matrix.rows[i][j]
-            a, b = (e.a, e.b) if isinstance(e, QuadExt) else (rat(e), ZERO)
-            rows[i][j] = a
-            rows[n + i][n + j] = a
-            rows[i][n + j] = disc * b
-            rows[n + i][j] = b
-    return Matrix(rows)
-
-
 # ---------------------------------------------------------------------------
 # Jordan-type flags
 # ---------------------------------------------------------------------------
@@ -366,9 +337,8 @@ def jordan_flags(pair: SymmetricPair, x) -> JordanFlags:
     checked through the rational matrix realization.
     """
     if isinstance(x, GroupElement):
-        m = rational_realization(pair, x)
-    else:
-        m = pair.algebra.realize(x)
+        x = group_to_algebra_vector(pair, x.matrix)
+    m = pair.algebra.realize(x)
     return JordanFlags(semisimple=is_semisimple_matrix(m),
                        nilpotent=is_nilpotent_matrix(m),
                        unipotent=is_unipotent_matrix(m))
@@ -402,11 +372,7 @@ def cone_membership(pair: SymmetricPair, v: Vector) -> ConeMembership:
     if len(inv) + len(q_basis) != pair.dim_gsigma:
         raise InvariantViolation(
             "invariant subspace is B-degenerate: no direct complement")
-    combined = list(inv) + list(q_basis)
-    if combined:
-        coords = coords_in_basis(combined, [v])[0]
-    else:
-        coords = []
+    coords = coords_in_basis(list(inv) + list(q_basis), [v])[0]
     inv_part = coords[: len(inv)]
     zero = pair.algebra.zero_vector()
     q_proj = list(zero)
@@ -424,14 +390,9 @@ def cone_membership(pair: SymmetricPair, v: Vector) -> ConeMembership:
 def _orthocomplement_in(pair: SymmetricPair, vectors: Sequence[Vector],
                         ambient: Sequence[Vector]) -> List[Vector]:
     """B-orthogonal complement of span(vectors) inside span(ambient)."""
-    if not ambient:
-        return []
     if not vectors:
         return list(ambient)
-    amb = Matrix.from_columns(list(ambient))
-    rows = [(Matrix([w]) @ pair.form @ amb).rows[0] for w in vectors]
-    ker = kernel_basis(Matrix(rows))
-    return echelon_subspace([amb.matvec(k) for k in ker])
+    return kernel_in_span(Matrix(list(vectors)) @ pair.form, ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +413,9 @@ def descendant(pair: SymmetricPair, x: Vector) -> SymmetricPair:
         raise PreconditionError("element is not in the -1 eigenspace")
     if is_zero_vector(x):
         return pair
-    mx = pair.algebra.realize(x)
-    if not is_semisimple_matrix(mx):
-        raise PreconditionError("element is not semisimple in the realization")
-    if minimal_polynomial(mx).rational_roots() is None:
-        raise PreconditionError(
-            "non-split semisimple element: spectrum is irrational over Q")
-    cz = pair.algebra.centralizer([x])
-    return subpair_on(pair, cz)
+    return _split_semisimple_descendant(
+        pair, x, "element is not semisimple in the realization",
+        "non-split semisimple element: spectrum is irrational over Q")
 
 
 def descendant_at_group_element(pair: SymmetricPair, g: GroupElement) -> SymmetricPair:
@@ -471,15 +427,22 @@ def descendant_at_group_element(pair: SymmetricPair, g: GroupElement) -> Symmetr
     if not is_normal(pair, g):
         raise PreconditionError("group element is not normal: sigma(g)g != g sigma(g)")
     s = symmetrize(pair, g)
-    v = group_to_algebra_vector(pair, s.matrix)
-    mv = pair.algebra.realize(v)
-    if not is_semisimple_matrix(mv):
-        raise PreconditionError("symmetrization is not semisimple")
-    if minimal_polynomial(mv).rational_roots() is None:
-        raise PreconditionError(
-            "non-split symmetrization: spectrum is irrational over Q")
-    cz = pair.algebra.centralizer([v])
-    return subpair_on(pair, cz)
+    return _split_semisimple_descendant(
+        pair, group_to_algebra_vector(pair, s.matrix),
+        "symmetrization is not semisimple",
+        "non-split symmetrization: spectrum is irrational over Q")
+
+
+def _split_semisimple_descendant(pair: SymmetricPair, v: Vector, not_semisimple: str,
+                                 not_split: str) -> SymmetricPair:
+    """Sub-pair on the centralizer of v once the minimal polynomial of v,
+    computed once, is square-free and splits over Q."""
+    m = minimal_polynomial(pair.algebra.realize(v))
+    if not m.is_squarefree():
+        raise PreconditionError(not_semisimple)
+    if m.rational_roots() is None:
+        raise PreconditionError(not_split)
+    return subpair_on(pair, pair.algebra.centralizer([v]))
 
 
 def subpair_on(pair: SymmetricPair, basis: Sequence[Vector]) -> SymmetricPair:

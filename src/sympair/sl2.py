@@ -7,12 +7,13 @@ with h in the image of ad x; then f from the stacked system [x, f] = h,
 scope, so an unsolvable system is a loud internal error, never a soft
 failure.
 
-For a symmetric pair the triple is then adapted to the involution:
-averaging h with theta(h) lands it in the +1 space without breaking its
-defining constraints, and re-solving plus antisymmetrizing produces an f
-in the -1 space.  The h of the adapted triple is the quantity every
-downstream criterion consumes; its restricted traces are independent of
-all the choices made here (re-checked by tests with randomized solves).
+For a symmetric pair the same two solves give an adapted triple: h is
+averaged with theta(h) into the +1 space, then f is solved against it and
+antisymmetrized into the -1 space.  By Morozov's lemma that solve succeeds
+exactly when the averaged h lies in the image of ad x.  The h of the
+adapted triple is the quantity every downstream criterion consumes; its
+restricted traces are independent of all the choices made here
+(re-checked by tests with randomized solves).
 """
 
 from __future__ import annotations
@@ -55,12 +56,6 @@ class SL2Triple:
     degenerate: bool = False
 
 
-def _is_ad_nilpotent(g: LieAlgebra, x: Vector) -> bool:
-    if g.realization is not None:
-        return is_nilpotent_matrix(g.realize(x))
-    return is_nilpotent_matrix(g.ad(x))
-
-
 def _random_kernel_shift(base: Vector, system: Matrix, rng: Optional[random.Random]) -> Vector:
     if rng is None:
         return base
@@ -82,31 +77,37 @@ def jacobson_morozov(g: LieAlgebra, x: Vector, rng: Optional[random.Random] = No
     if is_zero_vector(x):
         z = tuple(g.zero_vector())
         return SL2Triple(e=z, h=z, f=z, degenerate=True)
-    if not _is_ad_nilpotent(g, x):
-        raise PreconditionError("element is not nilpotent")
+    adx, h = _complete_h(g, x, rng)
+    f = _solve_for_f(g, adx, h, rng)
+    if f is None:
+        raise InvariantViolation("lower triple element system is unsolvable "
+                                 "although h lies in the image of ad x")
+    triple = SL2Triple(e=tuple(x), h=tuple(h), f=tuple(f))
+    verify_triple(g, triple)
+    return triple
+
+
+def _complete_h(g: LieAlgebra, x: Vector, rng: Optional[random.Random]) -> Tuple[Matrix, Vector]:
+    """(ad x, h) with h = [x, u] and (ad x)^2 u = -2x, for a nonzero nilpotent x:
+    then [h, x] = 2x and h lies in the image of ad x."""
     adx = g.ad(x)
+    if not is_nilpotent_matrix(adx if g.realization is None else g.realize(x)):
+        raise PreconditionError("element is not nilpotent")
     adx2 = adx @ adx
     u = solve(adx2, vec_scale(Fraction(-2), x))
     if u is None:
         raise InvariantViolation("cannot place h in the image of ad x: "
                                  "triple completion system is unsolvable")
     u = _random_kernel_shift(u, adx2, rng)
-    h = adx.matvec(u)
-    f = _solve_for_f(g, adx, h, x, rng)
-    triple = SL2Triple(e=tuple(x), h=tuple(h), f=tuple(f))
-    verify_triple(g, triple)
-    return triple
+    return adx, adx.matvec(u)
 
 
-def _solve_for_f(g: LieAlgebra, adx: Matrix, h: Vector, x: Vector,
-                 rng: Optional[random.Random]) -> Vector:
+def _solve_for_f(g: LieAlgebra, adx: Matrix, h: Vector,
+                 rng: Optional[random.Random]) -> Optional[Vector]:
+    """An f with [x, f] = h and [h, f] = -2f, or None if the system is inconsistent."""
     stacked = Matrix(adx.rows + shift_diagonal(g.ad(h), 2).rows)
-    rhs = list(h) + list(g.zero_vector())
-    f = solve(stacked, rhs)
-    if f is None:
-        raise InvariantViolation("lower triple element system is unsolvable "
-                                 "although h lies in the image of ad x")
-    return _random_kernel_shift(f, stacked, rng)
+    f = solve(stacked, list(h) + list(g.zero_vector()))
+    return None if f is None else _random_kernel_shift(f, stacked, rng)
 
 
 def verify_triple(g: LieAlgebra, t: SL2Triple):
@@ -122,24 +123,25 @@ def verify_triple(g: LieAlgebra, t: SL2Triple):
 def theta_adapt(pair: SymmetricPair, x: Vector, rng: Optional[random.Random] = None) -> SL2Triple:
     """Triple over nilpotent x in the -1 space, adapted to the involution.
 
-    h is averaged into the +1 space; both constraints [h, x] = 2x and
-    h in im(ad x) are re-verified after averaging, then f is re-solved
-    and antisymmetrized into the -1 space.
+    h is completed as in jacobson_morozov, averaged into the +1 space and
+    re-checked against [h, x] = 2x; then f is solved once (which fails
+    exactly when h left the image of ad x) and antisymmetrized into the -1
+    space.  Relations and eigenspace memberships are verified at the end.
     """
     g = pair.algebra
     if not pair.in_gsigma(x):
         raise PreconditionError("element is not in the -1 eigenspace")
-    base = jacobson_morozov(g, x, rng)
-    if base.degenerate:
-        return SL2Triple(e=base.e, h=base.h, f=base.f, theta_adapted=True, degenerate=True)
-    s = list(base.h)
-    s_sym = [(a + b) * HALF for a, b in zip(s, pair.theta_apply(s))]
-    adx = g.ad(x)
+    if is_zero_vector(x):
+        z = tuple(g.zero_vector())
+        return SL2Triple(e=z, h=z, f=z, theta_adapted=True, degenerate=True)
+    adx, h = _complete_h(g, x, rng)
+    s_sym = [(a + b) * HALF for a, b in zip(h, pair.theta_apply(h))]
     if g.bracket(s_sym, x) != vec_scale(Fraction(2), x):
         raise InvariantViolation("averaged h no longer satisfies [h, x] = 2x")
-    if solve(adx, s_sym) is None:
-        raise InvariantViolation("averaged h left the image of ad x")
-    w = _solve_for_f(g, adx, s_sym, x, rng)
+    w = _solve_for_f(g, adx, s_sym, rng)
+    if w is None:
+        raise InvariantViolation("averaged h left the image of ad x: "
+                                 "no f with [x, f] = h and [h, f] = -2f")
     f = [(a - b) * HALF for a, b in zip(w, pair.theta_apply(w))]
     triple = SL2Triple(e=tuple(x), h=tuple(s_sym), f=tuple(f), theta_adapted=True)
     verify_triple(g, triple)

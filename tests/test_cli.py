@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, exit codes, report shape, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -62,9 +63,10 @@ class TestAudit:
     def test_orbit_cap_checked_before_building_the_pair(self, capsys, monkeypatch):
         built = []
         monkeypatch.setattr(sympair.cli, "build_pair", built.append)
-        code, out, err = run(capsys, "audit", "--family", "diagonal", "--n", "16")
-        assert code == 2 and out == ""
-        assert "cap" in err
+        for argv in (["audit"], ["triple", "--element", "0"], ["descend", "--element", "0"]):
+            code, out, err = run(capsys, *argv, "--family", "diagonal", "--n", "16")
+            assert code == 2 and out == ""
+            assert "cap" in err
         assert built == []
 
     def test_bad_inputs_exit_2(self, capsys):
@@ -106,6 +108,23 @@ class TestDescend:
     def test_rejects_nilpotent_element(self, capsys):
         assert run(capsys, "descend", "--family", "diagonal", "--n", "2",
                    "--element", "0,1,0,0,0,-1,0,0")[0] == 2
+
+    def test_huge_eigenvalues_refused_quickly(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "descend", "--family", "diagonal", "--n", "1",
+                             "--element", "10000000000,-10000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "rational-root search" in err
+
+    def test_eigenvalues_up_to_six(self, capsys):
+        # x = (D, -D), D = diag(1, ..., 6): the realization has eigenvalues +-1..+-6
+        d = [str(i + 1 if i == j else 0) for i in range(6) for j in range(6)]
+        element = ",".join(d + [c if c == "0" else "-" + c for c in d])
+        doc = run_json(capsys, "descend", "--family", "diagonal", "--n", "6",
+                       "--element", element)
+        assert doc["descendant"]["dim_g"] == 12
+        assert doc["dimension_identity"]["holds"] is True
 
 
 class TestWeil:

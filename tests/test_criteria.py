@@ -1,5 +1,6 @@
 """Orbit enumeration, trace audits, quotient spectra, and the weight identity."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -44,8 +45,24 @@ class TestJordanMatrices:
 
     def test_rejects_non_nilpotent(self):
         from sympair.linalg import Matrix
-        with pytest.raises(PreconditionError):
-            jordan_type(Matrix.identity(2))
+        one, zero = F(1), F(0)
+        # invertible; rank 1 then 1 again; J_2 plus an invertible 1x1 block
+        for m in (Matrix.identity(2), Matrix([[one, zero], [zero, zero]]),
+                  Matrix([[zero, one, zero], [zero, zero, zero], [zero, zero, one]])):
+            with pytest.raises(PreconditionError):
+                jordan_type(m)
+
+    def test_conjugated_jordan_matrices(self):
+        from sympair.linalg import Matrix, inverse
+        rng = random.Random(31)
+        for n in range(1, 6):
+            for mu in partitions(n):
+                low = Matrix([[F(1 if i == j else rng.randint(-2, 2) if i > j else 0)
+                               for j in range(n)] for i in range(n)])
+                up = Matrix([[F(1 if i == j else rng.randint(-2, 2) if i < j else 0)
+                              for j in range(n)] for i in range(n)])
+                g = low @ up
+                assert jordan_type(g @ jordan_matrix(mu) @ inverse(g)) == mu
 
 
 class TestOrbitReps:
@@ -155,7 +172,7 @@ class TestEigenCheck:
         for pair in (make_diagonal_pair(4), make_quadratic_ext_pair(2, 5)):
             for _, x in nilpotent_orbit_reps(pair):
                 t = theta_adapt(pair, x)
-                spec = eigen_check(pair, x, t)   # strict: raises on violation
+                spec = eigen_check(pair, x, t)
                 assert all(k <= 0 for k, _ in spec)
 
 

@@ -15,6 +15,8 @@ from sympair.linalg import (
     coords_in_basis,
     echelon_subspace,
     inverse,
+    kernel_basis,
+    kernel_in_span,
     minimal_polynomial,
     rank,
     rref,
@@ -224,6 +226,26 @@ def test_complete_basis_matches_greedy_choice(n, nbase, namb, data):
     if base + ambient:
         ambient += data.draw(st.lists(st.sampled_from(base + ambient), max_size=2))
     assert _complete_basis(base, ambient) == greedy_complete_basis(base, ambient)
+
+
+def reference_kernel_in_span(mat, span):
+    """The kernel basis of mat @ S, mapped back through S and echelonized."""
+    if not span:
+        return []
+    sub = Matrix.from_columns(span)
+    return echelon_subspace([sub.matvec(k) for k in kernel_basis(mat @ sub)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 6), st.data())
+def test_kernel_in_span_matches_mapped_kernel_basis(m, n, nspan, data):
+    mat = Matrix(data.draw(sparse_rows(m, n)))
+    span = data.draw(sparse_rows(nspan, n)) if nspan else []
+    # repeats, sums and the zero vector make the span dependent
+    if span and data.draw(st.booleans()):
+        span += data.draw(st.lists(st.sampled_from(span), max_size=2))
+        span += [[a + b for a, b in zip(span[0], span[-1])], [F(0)] * n]
+    assert kernel_in_span(mat, span) == reference_kernel_in_span(mat, span)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,13 @@ from sympair.liealg import (
     build_gl,
     build_product,
     build_quadratic_extension,
-    form_radical_dimension,
     LieAlgebra,
 )
 from sympair.linalg import Matrix, integer_spectrum, rank
+
+
+def form_radical_dimension(gram: Matrix) -> int:
+    return gram.nrows - rank(gram)
 
 
 def gl2():

@@ -17,9 +17,9 @@ from sympair.linalg import (
     kernel_basis,
     minimal_polynomial,
     rank,
+    shift_diagonal,
     solve,
     solve_many,
-    split_rational_spectrum,
 )
 from sympair.scalars import QuadExt
 
@@ -29,6 +29,35 @@ def mat(rows):
 
 
 E12 = mat([[0, 1], [0, 0]])
+
+
+def eval_matrix(p: Poly, m: Matrix) -> Matrix:
+    """p(m) by Horner's rule."""
+    n = m.nrows
+    acc = Matrix.zeros(n, n)
+    for c in reversed(p.coeffs):
+        acc = acc @ m
+        if c:
+            acc = shift_diagonal(acc, c)
+    return acc
+
+
+def split_rational_spectrum(m: Matrix):
+    """Eigenvalues with multiplicity of a semisimple matrix split over Q, else None.
+
+    A split minimal polynomial with deficient eigenspaces contradicts
+    semisimplicity and is raised loudly.
+    """
+    roots = minimal_polynomial(m).rational_roots()
+    if roots is None:
+        return None
+    out = []
+    for r in sorted(set(roots)):
+        out.extend([r] * (m.nrows - rank(shift_diagonal(m, -r))))
+    if len(out) != m.nrows:
+        raise InvariantViolation(
+            "split minimal polynomial but defective eigenspaces: matrix is not semisimple")
+    return out
 
 
 class TestSolveAndKernel:
@@ -106,7 +135,7 @@ class TestMinimalPolynomial:
             n = rng.randint(1, 5)
             a = Matrix([[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)])
             p = minimal_polynomial(a)
-            assert p.eval_matrix(a).is_zero()
+            assert eval_matrix(p, a).is_zero()
             assert p.leading() == 1
 
     def test_divides_any_annihilator(self):

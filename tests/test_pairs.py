@@ -256,6 +256,24 @@ class TestJordanFlags:
         fl2 = jordan_flags(p, diag_vec(p, [[0, 1], [0, 0]], [[0, -1], [0, 0]]))
         assert fl2.nilpotent
 
+    def test_group_elements_match_the_regular_representation(self):
+        from sympair.linalg import is_nilpotent_matrix, is_semisimple_matrix, is_unipotent_matrix
+        from sympair.pairs import JordanFlags
+        rng = random.Random(41)
+        kinds = set()
+        for pair in (make_diagonal_pair(2), make_diagonal_pair(3), make_quadratic_ext_pair(2, -1),
+                     make_quadratic_ext_pair(2, 2), make_quadratic_ext_pair(3, 5)):
+            for _ in range(12):
+                g = _random_group_element(pair, rng)
+                m = _regular_representation(pair, g)
+                assert pair.algebra.realize(group_to_algebra_vector(pair, g.matrix)) == m
+                want = JordanFlags(semisimple=is_semisimple_matrix(m),
+                                   nilpotent=is_nilpotent_matrix(m),
+                                   unipotent=is_unipotent_matrix(m))
+                assert jordan_flags(pair, g) == want
+                kinds.add((want.semisimple, want.unipotent))
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
 
 class TestDescendants:
     def test_zero_gives_pair_itself(self):
@@ -386,6 +404,53 @@ def _random_invertible(rng, n):
         m = Matrix([[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)])
         if rank(m) == n:
             return m
+
+
+def _regular_representation(pair, g):
+    """A group element as a rational matrix: itself in the diagonal family,
+    and [[A, d B], [B, A]] for A + w B over Q(sqrt(d))."""
+    if pair.family == "diagonal":
+        return g.matrix
+    n, disc = pair.inner_n, pair.disc
+    rows = [[F(0)] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            e = g.matrix.rows[i][j]
+            a, b = (e.a, e.b) if isinstance(e, QuadExt) else (F(e), F(0))
+            rows[i][j] = rows[n + i][n + j] = a
+            rows[i][n + j] = disc * b
+            rows[n + i][j] = b
+    return Matrix(rows)
+
+
+def _random_block(rng, n):
+    """Generic, unipotent (1 + upper), or diagonal with repeated eigenvalues,
+    conjugated by a random invertible matrix."""
+    kind = rng.choice(("generic", "unipotent", "diagonal"))
+    if kind == "generic":
+        return _random_invertible(rng, n)
+    c = _random_invertible(rng, n)
+    if kind == "unipotent":
+        core = Matrix([[F(1 if i == j else rng.randint(-1, 1) if i < j else 0)
+                        for j in range(n)] for i in range(n)])
+    else:
+        core = Matrix([[F(rng.choice((1, 2)) if i == j else 0) for j in range(n)]
+                       for i in range(n)])
+    return c @ core @ inverse(c)
+
+
+def _random_group_element(pair, rng):
+    n = pair.inner_n
+    if pair.family == "diagonal":
+        return GroupElement.diagonal(pair, _random_block(rng, n), _random_block(rng, n))
+    while True:
+        plain = _random_block(rng, n)
+        wpart = (Matrix.zeros(n, n) if rng.random() < 0.5
+                 else Matrix([[F(rng.randint(-1, 1)) for _ in range(n)] for _ in range(n)]))
+        m = Matrix([[QuadExt(a, b, pair.disc) for a, b in zip(pr, wr)]
+                    for pr, wr in zip(plain.rows, wpart.rows)])
+        if rank(m) == n:
+            return GroupElement(pair, m)
 
 
 def _to_ambient(sub, v):

@@ -117,6 +117,45 @@ class TestThetaAdapt:
         assert t.degenerate and t.theta_adapted
 
 
+class TestSolveCount:
+    def test_theta_adapt_solves_twice_without_unadapted_completion(self, monkeypatch):
+        import sympair.sl2 as sl2
+        from sympair.criteria import nilpotent_orbit_reps
+        real_solve = sl2.solve
+        calls = []
+
+        def counting_solve(mat, b):
+            calls.append(mat.nrows)
+            return real_solve(mat, b)
+
+        def unadapted(*args, **kwargs):
+            raise AssertionError("theta_adapt ran the unadapted completion")
+
+        monkeypatch.setattr(sl2, "solve", counting_solve)
+        monkeypatch.setattr(sl2, "jacobson_morozov", unadapted)
+        for pair in (make_diagonal_pair(3), make_quadratic_ext_pair(2, 5)):
+            for _, x in nilpotent_orbit_reps(pair):
+                calls.clear()
+                t = sl2.theta_adapt(pair, x)
+                assert len(calls) == (0 if t.degenerate else 2)
+
+    def test_failed_f_solve_names_the_image_condition(self, monkeypatch):
+        import sympair.sl2 as sl2
+        real_solve = sl2.solve
+        calls = []
+
+        def second_solve_fails(mat, b):
+            calls.append(mat.nrows)
+            return None if len(calls) == 2 else real_solve(mat, b)
+
+        monkeypatch.setattr(sl2, "solve", second_solve_fails)
+        p = make_diagonal_pair(2)
+        x = p.algebra.zero_vector()
+        x[1], x[5] = F(1), F(-1)
+        with pytest.raises(InvariantViolation, match="averaged h left the image of ad x"):
+            sl2.theta_adapt(p, x)
+
+
 class TestRandomizedCompletions:
     def test_relations_and_adaptation_hold_for_random_solutions(self):
         p = make_diagonal_pair(2)
