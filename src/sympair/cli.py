@@ -44,7 +44,7 @@ from .weil import DiagonalQuadraticForm, Place, delta_factor, homogeneity_factor
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except (InputError, PreconditionError, ShapeError) as exc:
@@ -58,6 +58,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     print("a structural guarantee of the computation failed; "
           "this is a bug or corrupted input, not a criterion failure", file=sys.stderr)
     return 3
+
+
+# Options whose value is a comma-separated list of rationals.
+_LIST_OPTIONS = ("--element", "--form")
+
+
+def _attach_list_values(argv: List[str]) -> List[str]:
+    """Rewrite `--element -1,0,...` as `--element=-1,0,...` (likewise `--form`).
+
+    argparse reads a separate value that starts with '-' as an option
+    unless it is a single negative number, so a list with a negative first
+    entry would otherwise be refused.
+    """
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1] in _LIST_OPTIONS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = "%s=%s" % (out[-1], arg)
+        else:
+            out.append(arg)
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,7 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_infer = sub.add_parser("infer", help="close a fact set under the implication rules")
     p_infer.add_argument("--facts", required=True,
-                         help="JSON file with {\"pair_id\": ..., \"atoms\": [...]}")
+                         help="JSON file with {\"pair_id\": \"...\", \"atoms\": [...]}; "
+                              "pair_id is an optional string, printed as null when absent")
     p_infer.add_argument("--out", help="write the closure here (default stdout)")
     p_infer.set_defaults(handler=_cmd_infer)
     return parser
@@ -221,6 +242,9 @@ def _cmd_infer(args) -> int:
     doc = _load_json(args.facts)
     if not isinstance(doc, dict):
         raise InputError("facts file must be a JSON object")
+    pair_id = doc.get("pair_id")
+    if pair_id is not None and not isinstance(pair_id, str):
+        raise InputError("pair_id must be a string")
     atoms = doc.get("atoms", [])
     if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
         raise InputError("atoms must be a list of strings")
@@ -233,7 +257,7 @@ def _cmd_infer(args) -> int:
         ]
     out_doc = {
         "schema": SCHEMA_VERSION,
-        "pair_id": doc.get("pair_id"),
+        "pair_id": pair_id,
         "input_atoms": sorted(set(atoms)),
         "closure": sorted(closure.atoms),
         "derivations": derivations,

@@ -10,8 +10,19 @@ sweep is finite: one representative per partition, each audited for
   * the quotient spectrum: eigenvalues of ad h on s/[x, h] must be
     non-positive integers;
   * the bookkeeping identity: the weight multiset of gl_n under the
-    partition's triple computed from kernel-rank spectra must equal the
-    Clebsch-Gordan prediction from the partition, and sum(l + 1) = n^2.
+    partition's triple computed from its ad h weight spaces must equal
+    the Clebsch-Gordan prediction from the partition, and
+    sum(l + 1) = n^2.
+
+For the closed-form triples the quotient is graded rather than modeled
+on a complement.  The adapted h lies in the +1 space, so ad h preserves
+h and s, and sl2 theory makes its weights integers.  As [h, x] = 2x, ad x
+maps the weight space h_k into s_{k+2}, so k has multiplicity
+dim s_k - rank(ad x : h_{k-2} -> s_k) in s/[x, h], and every rank is taken
+on one small per-weight block.  That grading is read off bases of ad h
+eigenvectors, which the closed-form triples give; for a theta_adapt
+triple the quotient is instead taken on normal forms modulo [x, h], which
+stay as small as the quotient itself.
 
 The Clebsch-Gordan route is an independent oracle: tensor products of
 Jordan blocks a, b contribute highest weights a+b-2, a+b-4, ..., |a-b|.
@@ -29,16 +40,23 @@ from .liealg import build_gl
 from .linalg import (
     Matrix,
     Vector,
-    coords_in_basis,
-    echelon_subspace,
+    echelon_reduce,
+    echelon_rows,
     integer_spectrum,
     is_zero_vector,
+    nonzeros,
     rank,
-    rref,
 )
 from .pairs import FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT, SymmetricPair
 from .scalars import ONE, ZERO
-from .sl2 import SL2Triple, sl2_decompose, theta_adapt, verify_triple
+from .sl2 import (
+    SL2Triple,
+    eigenvector_weights,
+    restricted_ad,
+    sl2_decompose,
+    theta_adapt,
+    verify_triple,
+)
 
 Partition = Tuple[int, ...]
 
@@ -239,7 +257,7 @@ def _gl(n: int):
 
 @lru_cache(maxsize=None)
 def _inner_weights_from_spectrum(n: int, mu: Partition) -> Tuple[int, ...]:
-    """Weights of gl_n under the standard J_mu triple, via kernel-rank spectra."""
+    """Weights of gl_n under the standard J_mu triple, via its ad h weight spaces."""
     g = _gl(n)
     hm, fm = standard_blocks(mu)
     triple = SL2Triple(e=tuple(_flatten(jordan_matrix(mu))), h=tuple(_flatten(hm)),
@@ -280,26 +298,33 @@ def speciality_audit(pair: SymmetricPair, x: Vector) -> OrbitAudit:
     both weight multisets (spectral and combinatorial) when the pair is a
     built-in family.  The canonical representative of its own Jordan type
     gets the closed-form standard_triple; every other element is completed
-    by theta_adapt.
+    by theta_adapt.  An InvariantViolation raised on the way names the
+    partition (or, for a custom pair, the element) it fired on.
     """
     partition = None
-    w_spec = None
-    w_part = None
-    triple = None
     if pair.family in (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT):
         if not pair.in_gsigma(x):
             raise PreconditionError("element is not in the -1 eigenspace")
         partition = jordan_type(inner_nilpotent_matrix(pair, x))
-        if list(x) == orbit_rep(pair, partition):
-            triple = standard_triple(pair, partition)
-        w_spec = _inner_weights_from_spectrum(pair.inner_n, partition)
-        w_part = clebsch_gordan_weights(partition)
-    if triple is None:
-        triple = theta_adapt(pair, x)
-    hx_basis = pair.centralizer_in(x, pair.h_basis)
-    trace = restricted_trace(pair, list(triple.h), hx_basis)
+    w_spec = None
+    w_part = None
+    triple = None
+    try:
+        if partition is not None:
+            if list(x) == orbit_rep(pair, partition):
+                triple = standard_triple(pair, partition)
+            w_spec = _inner_weights_from_spectrum(pair.inner_n, partition)
+            w_part = clebsch_gordan_weights(partition)
+        if triple is None:
+            triple = theta_adapt(pair, x)
+        hx_basis = pair.centralizer_in(x, pair.h_basis)
+        trace = restricted_trace(pair, list(triple.h), hx_basis)
+        quotient = eigen_check(pair, x, triple)
+    except InvariantViolation as exc:
+        where = ("partition %s" % (partition,) if partition is not None
+                 else "element [%s]" % ",".join(str(c) for c in x))
+        raise InvariantViolation("%s: %s" % (where, exc)) from exc
     dim_s = pair.dim_gsigma
-    quotient = eigen_check(pair, x, triple)
     return OrbitAudit(
         partition=partition,
         representative=tuple(x),
@@ -316,56 +341,78 @@ def speciality_audit(pair: SymmetricPair, x: Vector) -> OrbitAudit:
 
 
 def restricted_trace(pair: SymmetricPair, h: Vector, subspace: Sequence[Vector]) -> Fraction:
-    """Trace of ad(h) on an ad(h)-stable subspace given by a basis."""
-    if not subspace:
-        return Fraction(0)
-    images = [pair.algebra.bracket(h, b) for b in subspace]
-    coords = coords_in_basis(list(subspace), images)
-    return sum((coords[i][i] for i in range(len(subspace))), Fraction(0))
+    """Trace of ad(h) on an ad(h)-stable subspace given by a basis.
+
+    In an RREF basis the coordinate of [h, b_i] along b_i is its entry at
+    b_i's pivot column, so the trace is that of restricted_ad, which reads
+    every image there and verifies it lies in the subspace; a basis in any
+    other form is echelonized first.
+    """
+    rows = echelon_rows([nonzeros(b) for b in subspace], pair.dim_g)
+    return restricted_ad(pair.algebra, h, rows).trace() if rows else Fraction(0)
 
 
 def eigen_check(pair: SymmetricPair, x: Vector, triple: SL2Triple) -> Tuple[Tuple[int, int], ...]:
     """Spectrum of ad(h) on the quotient s/[x, h] as (eigenvalue, multiplicity).
 
-    The quotient is modeled on an explicit complement of [x, h] inside s;
-    any complement gives a conjugate action matrix, so the spectrum is
-    well defined.  The eigenvalues must be integers (anything else raises);
-    whether they are all non-positive is the caller's verdict, and a
+    ad h preserves h and s with integer weights, and [h, x] = 2x, so ad x
+    maps the weight space h_k into s_{k+2} and [x, h] is graded: the
+    quotient has multiplicity m_k = dim s_k - rank(ad x : h_{k-2} -> s_k)
+    at k.  Each image [x, v] is verified to lie in the span of s_{k+2}
+    before its coordinates are read at that basis's pivot columns, so every
+    rank is taken on one small per-weight block.  That needs the bases of h
+    and s to be ad h eigenvectors, as they are for the closed-form triples;
+    for any other h (a theta_adapt triple) grading h and s would cost a
+    full-size kernel per weight, so the quotient is taken on normal forms
+    instead (_quotient_spectrum).  A non-integral weight raises; whether
+    the weights are all non-positive is the caller's verdict, and a
     positive one is reported, not raised.
     """
     g = pair.algebra
     h = list(triple.h)
-    image = []
-    for hb in pair.h_basis:
-        v = g.bracket(x, hb)
-        if not is_zero_vector(v):
-            if not pair.in_gsigma(v):
-                raise InvariantViolation("[x, h] left the -1 eigenspace")
-            image.append(v)
-    img_basis = echelon_subspace(image)
-    complement = _complete_basis(img_basis, pair.gsigma_basis)
-    if not complement:
-        return ()
-    combined = img_basis + complement
-    images = [g.bracket(h, c) for c in complement]
-    coords = coords_in_basis(combined, images)
-    k = len(img_basis)
-    qmat = Matrix.from_columns([c[k:] for c in coords])
-    spec = integer_spectrum(qmat, 2 * g.dim)
-    return tuple(sorted(spec.items()))
+    s_spaces = eigenvector_weights(g, h, pair.gsigma_rows)
+    h_spaces = None if s_spaces is None else eigenvector_weights(g, h, pair.h_rows)
+    if h_spaces is None:
+        return _quotient_spectrum(pair, x, h)
+    x_nz = nonzeros(x)
+    image_rank = {}
+    for k, space in h_spaces.items():
+        target = s_spaces.get(k + 2, [])
+        rows = []
+        for v in space:
+            coords, rest = echelon_reduce(target, g.bracket_sparse(x_nz, v))
+            if rest:
+                raise InvariantViolation("[x, v] for v of weight %d in h left the "
+                                         "weight-%d space of the -1 eigenspace" % (k, k + 2))
+            if any(coords):
+                rows.append(coords)
+        image_rank[k + 2] = rank(Matrix(rows)) if rows else 0
+    mults = ((k, len(space) - image_rank.get(k, 0)) for k, space in s_spaces.items())
+    return tuple((k, m) for k, m in mults if m)
 
 
-def _complete_basis(base: List[Vector], ambient: Sequence[Vector]) -> List[Vector]:
-    """Ambient vectors that extend the independent base to a basis of span(ambient).
+def _quotient_spectrum(pair: SymmetricPair, x: Vector, h: Vector) -> Tuple[Tuple[int, int], ...]:
+    """Spectrum of ad(h) on s/[x, h] through normal forms modulo [x, h].
 
-    The pivot columns of rref(base | ambient) are the greedy choice: each
-    ambient vector not in the span of base and the vectors chosen before it.
+    Reducing each basis vector of s against the RREF rows of [x, h] leaves
+    a vector that vanishes at their pivots; the RREF of those normal forms
+    spans a complement of [x, h] in s, as small as the quotient, and ad h
+    acts on it modulo [x, h].
     """
-    if not ambient:
-        return []
-    k = len(base)
-    _, pivots = rref(Matrix.from_columns(list(base) + list(ambient)))
-    return [list(ambient[c - k]) for c in pivots[k:]]
+    g = pair.algebra
+    x_nz = nonzeros(x)
+    image = []
+    for b in pair.h_rows:
+        v = g.bracket_sparse(x_nz, b)
+        if echelon_reduce(pair.gsigma_rows, v)[1]:
+            raise InvariantViolation("[x, h] left the -1 eigenspace")
+        image.append(v)
+    image = echelon_rows(image, g.dim)
+    normal = echelon_rows([echelon_reduce(image, b)[1] for b in pair.gsigma_rows], g.dim)
+    if not normal:
+        return ()
+    quotient = restricted_ad(g, h, normal, modulo=image)
+    return tuple(integer_spectrum(quotient, 2 * g.dim).items())
 
 
 # ---------------------------------------------------------------------------

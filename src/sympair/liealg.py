@@ -19,9 +19,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from .errors import PreconditionError, ShapeError
 from .linalg import (
     Matrix,
+    SparseVector,
     Vector,
     is_zero_vector,
     kernel_basis,
+    nonzeros,
 )
 from .scalars import ONE, ZERO, is_square_free_non_square, rat
 
@@ -113,19 +115,33 @@ class LieAlgebra:
         return v
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
+        """[x, y] on coordinate lists: bracket_sparse on their nonzeros, written out densely."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeError("bracket operands must have length %d" % self.dim)
         out = self.zero_vector()
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, row in self._rows[i].items():
-                b = y[j]
-                if b:
+        for k, v in self.bracket_sparse(nonzeros(x), nonzeros(y)).items():
+            out[k] = v
+        return out
+
+    def bracket_sparse(self, x: SparseVector, y: SparseVector) -> SparseVector:
+        """[x, y] on vectors given by their nonzero coordinates, returned likewise.
+
+        Each nonzero of x meets the nonzeros of y through its sparse rows, from
+        whichever side is shorter, so no dense coordinate list is scanned.
+        """
+        out: Dict[int, Fraction] = {}
+        for i, a in x.items():
+            left = self._rows[i]
+            if len(y) <= len(left):
+                pairs = ((b, left.get(j)) for j, b in y.items())
+            else:
+                pairs = ((y.get(j), row) for j, row in left.items())
+            for b, row in pairs:
+                if b is not None and row:
                     ab = a * b
                     for k, c in row:
-                        out[k] += ab * c
-        return out
+                        out[k] = out.get(k, ZERO) + ab * c
+        return {k: v for k, v in out.items() if v}
 
     def ad(self, x: Vector) -> Matrix:
         """Matrix of y -> [x, y] in the algebra basis."""

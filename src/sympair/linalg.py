@@ -13,12 +13,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .errors import InputError, InvariantViolation, ShapeError
 from .scalars import MAX_DISCRIMINANT, ONE, ZERO
 
 Vector = List
+# The nonzero coordinates {index: value} of a vector.
+SparseVector = Dict
 
 
 def vec_add(x: Vector, y: Vector) -> Vector:
@@ -35,6 +37,9 @@ def vec_neg(x: Vector) -> Vector:
 
 def is_zero_vector(x: Vector) -> bool:
     return all(not a for a in x)
+
+def nonzeros(x: Vector) -> SparseVector:
+    return {i: a for i, a in enumerate(x) if a}
 
 
 class Matrix:
@@ -537,11 +542,16 @@ def is_unipotent_matrix(mat: Matrix) -> bool:
 
 
 def integer_spectrum(mat: Matrix, bound: int) -> dict:
-    """Multiplicity of each integer eigenvalue via kernel ranks.
+    """Multiplicity of each integer eigenvalue: the dimensions of integer_eigenspaces."""
+    return {k: len(space) for k, space in integer_eigenspaces(mat, bound).items()}
+
+
+def integer_eigenspaces(mat: Matrix, bound: int) -> dict:
+    """{k: kernel_basis(mat - k)} over the integer eigenvalues k of a square matrix.
 
     The caller asserts the matrix acts semisimply with integer eigenvalues
     in [-bound, bound].  Scans k = 0, 1, -1, 2, -2, ... and stops as soon
-    as the multiplicities account for the whole dimension; if the bound is
+    as the eigenspaces account for the whole dimension; if the bound is
     exhausted first, the asserted spectrum shape is wrong and that gets
     raised, never papered over.
     """
@@ -553,15 +563,17 @@ def integer_spectrum(mat: Matrix, bound: int) -> dict:
     found = {}
     total = 0
     for k in _alternating_range(bound):
-        mult = n - rank(shift_diagonal(mat, -k)) if k else n - rank(mat)
-        if mult:
-            found[k] = mult
-            total += mult
-            if total == n:
-                return dict(sorted(found.items()))
-    raise InvariantViolation(
-        "non-integral or out-of-range spectrum: accounted %d of %d dimensions "
-        "within |k| <= %d" % (total, n, bound))
+        if total == n:
+            break
+        space = kernel_basis(shift_diagonal(mat, -k) if k else mat)
+        if space:
+            found[k] = space
+            total += len(space)
+    if total < n:
+        raise InvariantViolation(
+            "non-integral or out-of-range spectrum: weights %s account for %d of %d "
+            "dimensions within |k| <= %d" % (sorted(found), total, n, bound))
+    return dict(sorted(found.items()))
 
 
 def _alternating_range(bound: int):
@@ -593,3 +605,46 @@ def coords_in_basis(basis: Sequence[Vector], vectors: Sequence[Vector]) -> List[
     if sols is None:
         raise ShapeError("vector outside the subspace span")
     return sols
+
+
+def is_reduced_echelon(rows: Sequence[SparseVector]) -> bool:
+    """Whether sparse rows are in RREF: nonzero, rising pivots, each 1 and alone in its column."""
+    if not all(rows):
+        return False
+    pivots = [min(r) for r in rows]
+    return (all(p < q for p, q in zip(pivots, pivots[1:]))
+            and all(r[p] == 1 for r, p in zip(rows, pivots))
+            and all(p not in r for i, r in enumerate(rows)
+                    for j, p in enumerate(pivots) if i != j))
+
+
+def echelon_rows(rows: Sequence[SparseVector], dim: int) -> List[SparseVector]:
+    """Sparse RREF rows of span(rows) in a dim-dimensional space: the rows
+    themselves when they are in RREF already, else those of echelon_subspace."""
+    if is_reduced_echelon(rows):
+        return list(rows)
+    return [nonzeros(v) for v in echelon_subspace([[r.get(i, ZERO) for i in range(dim)]
+                                                  for r in rows])]
+
+
+def echelon_reduce(rows: Sequence[SparseVector], v: SparseVector):
+    """(coords, remainder) of v against sparse RREF rows.
+
+    Each RREF row is 1 at its own pivot column and 0 at every other row's,
+    so the coordinates are the entries of v there, and the remainder v minus
+    their combination vanishes at every pivot.  It is empty exactly when v
+    lies in the span, which is checked without any elimination.
+    """
+    coords = [v.get(min(r), ZERO) for r in rows]
+    rest = sparse_combination([(ONE, v.items())]
+                              + [(-c, r.items()) for c, r in zip(coords, rows) if c])
+    return coords, rest
+
+
+def sparse_combination(terms: Iterable) -> SparseVector:
+    """The nonzeros of sum c * row over (c, row) terms, each row a sequence of (index, value)."""
+    acc: SparseVector = {}
+    for c, row in terms:
+        for k, a in row:
+            acc[k] = acc.get(k, ZERO) + c * a
+    return {k: a for k, a in acc.items() if a}

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, PreconditionError, ShapeError
-from .liealg import LieAlgebra, SparseRow, build_gl, build_product, build_quadratic_extension
+from .liealg import LieAlgebra, build_gl, build_product, build_quadratic_extension
 from .linalg import (
     Matrix,
+    SparseVector,
     Vector,
     coords_in_basis,
     echelon_subspace,
@@ -36,9 +38,11 @@ from .linalg import (
     kernel_basis,
     kernel_in_span,
     minimal_polynomial,
+    nonzeros,
     rank,
     shift_diagonal,
     solve_many,
+    sparse_combination,
 )
 from .scalars import ONE, ZERO, QuadExt, rat
 
@@ -75,7 +79,7 @@ class SymmetricPair:
                                    for j in range(d)]
         for j in range(d):
             # theta(theta e_j) = e_j
-            if _combine((c, cols[i]) for i, c in cols[j]) != {j: ONE}:
+            if sparse_combination((c, cols[i]) for i, c in cols[j]) != {j: ONE}:
                 raise ShapeError("theta is not an involution")
         self._check_automorphism()
 
@@ -99,8 +103,9 @@ class SymmetricPair:
         g, cols = self.algebra, self._theta_cols
         for i in range(g.dim):
             for j in range(i + 1, g.dim):
-                lhs = _combine((c, cols[k]) for k, c in g.sparse_row(i, j))
-                rhs = _combine((s * t, g.sparse_row(a, b)) for a, s in cols[i] for b, t in cols[j])
+                lhs = sparse_combination((c, cols[k]) for k, c in g.sparse_row(i, j))
+                rhs = sparse_combination((s * t, g.sparse_row(a, b))
+                                         for a, s in cols[i] for b, t in cols[j])
                 if lhs != rhs:
                     raise ShapeError("theta is not a Lie algebra automorphism at (%d, %d)" % (i, j))
 
@@ -140,6 +145,16 @@ class SymmetricPair:
     def dim_gsigma(self) -> int:
         return len(self.gsigma_basis)
 
+    @cached_property
+    def h_rows(self) -> List[SparseVector]:
+        """h_basis by nonzeros, built on first read."""
+        return [nonzeros(b) for b in self.h_basis]
+
+    @cached_property
+    def gsigma_rows(self) -> List[SparseVector]:
+        """gsigma_basis by nonzeros, built on first read."""
+        return [nonzeros(b) for b in self.gsigma_basis]
+
     def theta_apply(self, v: Vector) -> Vector:
         if len(v) != self.dim_g:
             raise ShapeError("theta operand must have length %d" % self.dim_g)
@@ -166,15 +181,6 @@ class SymmetricPair:
             return list(self.gsigma_basis)
         stacked = Matrix([row for hb in self.h_basis for row in self.algebra.ad(hb).rows])
         return kernel_in_span(stacked, self.gsigma_basis)
-
-
-def _combine(terms: Iterable[Tuple[Fraction, SparseRow]]) -> Dict[int, Fraction]:
-    """Nonzero coordinates of sum c * row over the (c, row) terms."""
-    acc: Dict[int, Fraction] = {}
-    for c, row in terms:
-        for k, v in row:
-            acc[k] = acc.get(k, ZERO) + c * v
-    return {k: v for k, v in acc.items() if v}
 
 
 # ---------------------------------------------------------------------------

@@ -21,23 +21,28 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, PreconditionError
 from .liealg import LieAlgebra
 from .linalg import (
     Matrix,
+    SparseVector,
     Vector,
-    integer_spectrum,
+    echelon_reduce,
+    echelon_rows,
+    integer_eigenspaces,
     is_nilpotent_matrix,
     is_zero_vector,
     kernel_basis,
+    nonzeros,
     shift_diagonal,
     solve,
+    sparse_combination,
     vec_scale,
 )
 from .pairs import SymmetricPair
-from .scalars import HALF
+from .scalars import HALF, ONE, ZERO
 
 
 @dataclass(frozen=True)
@@ -173,17 +178,86 @@ class WeightDecomposition:
         return sum(self.weights)
 
 
-def sl2_decompose(g: LieAlgebra, triple: SL2Triple) -> WeightDecomposition:
-    """Decompose the adjoint module via kernel-rank weight counts.
+def weight_spaces(g: LieAlgebra, h: Vector, rows: Sequence[SparseVector]
+                  ) -> Dict[int, List[SparseVector]]:
+    """{k: basis of span(rows) ∩ ker(ad h - k)} over the weights k of ad h,
+    every vector given by its nonzeros.
 
-    m_k = dim ker(ad h - k); the multiplicity of the irreducible with
-    highest weight l is m_l - m_{l+2}.  Negative derived multiplicities or
-    an unresolved spectrum mean the input was not a module for the triple.
+    The span must be ad h-stable, with ad h semisimple on it and its weights
+    integers.  When every row is an ad h eigenvector (a diagonal h on the
+    echelon bases of the built-in pairs, or on the E_ij of gl_n) the rows
+    are bucketed by eigenvector_weights; otherwise the weight spaces come
+    from ad h restricted to the span.  Weight spaces of RREF rows come back
+    in RREF either way.  A non-integral weight, a span that ad h leaves, or
+    weight spaces that do not exhaust the span raise InvariantViolation.
     """
-    adh = g.ad(list(triple.h))
-    bound = 2 * g.dim
+    buckets = eigenvector_weights(g, h, rows)
+    return buckets if buckets is not None else _restricted_weight_spaces(g, h, rows)
+
+
+def eigenvector_weights(g: LieAlgebra, h: Vector, rows: Sequence[SparseVector]
+                        ) -> Optional[Dict[int, List[SparseVector]]]:
+    """The rows bucketed by weight when each is an ad h eigenvector, verified
+    by the one bracket [h, b]; None as soon as one is not."""
+    h_nz = nonzeros(h)
+    buckets: Dict[int, List[SparseVector]] = {}
+    for b in rows:
+        hb = g.bracket_sparse(h_nz, b)
+        p = min(b, default=None)
+        k = None if p is None else hb.get(p, ZERO) / b[p]
+        if k is None or hb != ({j: k * a for j, a in b.items()} if k else {}):
+            return None
+        if k.denominator != 1:
+            raise InvariantViolation("non-integral weight %s of ad h" % k)
+        buckets.setdefault(int(k), []).append(b)
+    return dict(sorted(buckets.items()))
+
+
+def _restricted_weight_spaces(g: LieAlgebra, h: Vector, rows: Sequence[SparseVector]
+                              ) -> Dict[int, List[SparseVector]]:
+    """Weight spaces from restricted_ad on the RREF rows of the span: each
+    is the rows times the kernel of (restricted ad h) - k."""
+    rows = echelon_rows(rows, g.dim)
+    if not rows:
+        return {}
+    spaces = integer_eigenspaces(restricted_ad(g, h, rows), 2 * g.dim)
+    # RREF coefficients over RREF rows give RREF vectors: each is 1 at its
+    # leading row's pivot column and 0 at every other leading pivot.
+    return {k: [sparse_combination((c, r.items()) for c, r in zip(coeffs, rows) if c)
+                for coeffs in space]
+            for k, space in spaces.items()}
+
+
+def restricted_ad(g: LieAlgebra, h: Vector, rows: Sequence[SparseVector],
+                  modulo: Sequence[SparseVector] = ()) -> Matrix:
+    """Matrix of ad h on span(rows), or on span(rows + modulo) / span(modulo).
+
+    Both are sparse RREF rows, and the rows vanish at the pivots of modulo.
+    Each [h, b] is reduced against modulo, and the coordinates of what is
+    left are read at the pivots of the rows and verified by reconstruction.
+    """
+    h_nz = nonzeros(h)
+    cols = []
+    for b in rows:
+        coords, rest = echelon_reduce(rows, echelon_reduce(modulo, g.bracket_sparse(h_nz, b))[1])
+        if rest:
+            raise InvariantViolation("ad h does not preserve the span of the rows%s"
+                                     % (" modulo the given subspace" if modulo else ""))
+        cols.append(coords)
+    return Matrix.from_columns(cols)
+
+
+def sl2_decompose(g: LieAlgebra, triple: SL2Triple) -> WeightDecomposition:
+    """Decompose the adjoint module via its ad h weight spaces.
+
+    m_k = dim ker(ad h - k), from weight_spaces over the standard basis; the
+    multiplicity of the irreducible with highest weight l is m_l - m_{l+2}.
+    Negative derived multiplicities or an unresolved spectrum mean the input
+    was not a module for the triple.
+    """
+    basis = [{i: ONE} for i in range(g.dim)]
     try:
-        mults = integer_spectrum(adh, bound)
+        mults = {k: len(space) for k, space in weight_spaces(g, list(triple.h), basis).items()}
     except InvariantViolation as exc:
         raise InvariantViolation("not an sl2 module: %s" % exc) from exc
     for k, m in mults.items():

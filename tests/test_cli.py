@@ -127,6 +127,32 @@ class TestDescend:
         assert doc["dimension_identity"]["holds"] is True
 
 
+class TestNegativeLeadingCoordinate:
+    """`--element -1,...` (a separate value starting with '-') reads like `--element=-1,...`."""
+
+    @pytest.mark.parametrize("command,element", [
+        ("triple", "-1,1,-1,1,1,-1,1,-1"),        # (X, -X) with X = [[-1, 1], [-1, 1]] nilpotent
+        ("descend", "-1,0,0,1,1,0,0,-1"),
+    ])
+    def test_both_forms_agree(self, capsys, command, element):
+        base = (command, "--family", "diagonal", "--n", "2")
+        spaced = run(capsys, *base, "--element", element)
+        joined = run(capsys, *base, "--element=" + element)
+        assert spaced[0] == 0, spaced[2]
+        assert spaced == joined
+        assert json.loads(spaced[1])["element"][0] == "-1"
+
+    def test_weil_form(self, capsys):
+        spaced = run(capsys, "weil", "--place", "p:5", "--form", "-1,2")
+        assert spaced[0] == 0, spaced[2]
+        assert spaced == run(capsys, "weil", "--place", "p:5", "--form=-1,2")
+
+    def test_console_entry_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["sympair", "descend", "--family", "diagonal", "--n", "2",
+                                         "--element", "-1,0,0,1,1,0,0,-1"])
+        assert main() == 0
+
+
 class TestWeil:
     def test_unit_form_at_p5(self, capsys):
         doc = run_json(capsys, "weil", "--place", "p:5", "--form", "1", "--t", "2")
@@ -172,6 +198,18 @@ class TestInfer:
 
     def test_missing_file_exit_2(self, capsys):
         assert run(capsys, "infer", "--facts", "/nonexistent.json")[0] == 2
+
+    def test_numeric_pair_id_exit_2(self, capsys, tmp_path):
+        facts = tmp_path / "facts.json"
+        facts.write_text(json.dumps({"pair_id": 5, "atoms": []}))
+        code, out, err = run(capsys, "infer", "--facts", str(facts))
+        assert code == 2 and out == ""
+        assert "pair_id must be a string" in err
+
+    def test_missing_pair_id_prints_null(self, capsys, tmp_path):
+        facts = tmp_path / "facts.json"
+        facts.write_text(json.dumps({"atoms": []}))
+        assert run_json(capsys, "infer", "--facts", str(facts))["pair_id"] is None
 
 
 class TestCustomSpec:
