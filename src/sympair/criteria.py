@@ -4,8 +4,8 @@ For the built-in families the nilpotent orbits of the -1 eigenspace are
 classified by partitions of the inner size n (Jordan types), so a full
 sweep is finite: one representative per partition, each audited for
 
-  * the trace bound: tr(ad h restricted to the centralizer of x in the
-    +1 space) versus dim of the -1 space, in both the strict (<) and
+  * the trace bound: tr(ad h restricted to the centralizer z_h(x) of x in
+    the +1 space) versus dim of the -1 space, in both the strict (<) and
     non-equality (!=) variants;
   * the quotient spectrum: eigenvalues of ad h on s/[x, h] must be
     non-positive integers;
@@ -24,8 +24,17 @@ eigenvectors, which the closed-form triples give; for a theta_adapt
 triple the quotient is instead taken on normal forms modulo [x, h], which
 stay as small as the quotient itself.
 
+The trace needs no centralizer solve.  With r_k the rank of ad x on h_k,
+z_h(x) has dimension dim h_k - r_k at weight k, and m_k = dim s_k - r_{k-2};
+ad h is traceless on h and on s, both copies of the adjoint module of gl_n,
+so tr(ad h | z_h(x)) = 2 dim s + sum_k (k - 2) m_k on either quotient route
+(trace_from_quotient).  Only a custom pair takes centralizer_in and
+restricted_trace.
+
 The Clebsch-Gordan route is an independent oracle: tensor products of
 Jordan blocks a, b contribute highest weights a+b-2, a+b-4, ..., |a-b|.
+As z_h(x) is a copy of the centralizer of J_mu in gl_n, their sum must
+equal that trace, else the sweep raises InvariantViolation.
 """
 
 from __future__ import annotations
@@ -83,13 +92,20 @@ def partitions(n: int) -> List[Partition]:
 def jordan_matrix(mu: Partition) -> Matrix:
     """Nilpotent Jordan matrix with block sizes mu (superdiagonal ones)."""
     n = sum(mu)
-    rows = [[ZERO] * n for _ in range(n)]
+    flat = _jordan_flat(mu)
+    return Matrix([flat[i * n:(i + 1) * n] for i in range(n)])
+
+
+def _jordan_flat(mu: Partition) -> Vector:
+    """jordan_matrix(mu) flattened row by row, written directly."""
+    n = sum(mu)
+    flat = [ZERO] * (n * n)
     offset = 0
     for part in mu:
-        for i in range(part - 1):
-            rows[offset + i][offset + i + 1] = ONE
+        for i in range(offset, offset + part - 1):
+            flat[i * n + i + 1] = ONE
         offset += part
-    return Matrix(rows)
+    return flat
 
 
 def jordan_type(m: Matrix) -> Partition:
@@ -135,24 +151,30 @@ def nilpotent_orbit_reps(pair: SymmetricPair) -> List[Tuple[Partition, Vector]]:
 
 def orbit_rep(pair: SymmetricPair, mu: Partition) -> Vector:
     """The canonical representative of the orbit with Jordan type mu."""
-    return _minus_one_vector(pair, _flatten(jordan_matrix(mu)))
+    return list(_canonical_rep(pair.family, tuple(mu)))
+
+
+@lru_cache(maxsize=None)
+def _canonical_rep(family: str, mu: Partition) -> tuple:
+    """orbit_rep, built once per family and partition and shared by the sweep."""
+    return tuple(_minus_one_vector(family, _jordan_flat(mu)))
 
 
 def _flatten(m: Matrix) -> Vector:
     return [e for row in m.rows for e in row]
 
 
-def _plus_one_vector(pair: SymmetricPair, inner: Vector) -> Vector:
+def _plus_one_vector(family: str, inner: Vector) -> Vector:
     """(X, X) in the diagonal family, the plain X in the quadratic extension."""
-    if pair.family == FAMILY_DIAGONAL:
+    if family == FAMILY_DIAGONAL:
         return inner + inner
     return inner + [ZERO] * len(inner)
 
 
-def _minus_one_vector(pair: SymmetricPair, inner: Vector) -> Vector:
+def _minus_one_vector(family: str, inner: Vector) -> Vector:
     """(X, -X) in the diagonal family, w*X in the quadratic extension."""
-    if pair.family == FAMILY_DIAGONAL:
-        return inner + [-e for e in inner]
+    if family == FAMILY_DIAGONAL:
+        return inner + [-e if e else e for e in inner]
     return [ZERO] * len(inner) + inner
 
 
@@ -186,7 +208,7 @@ def standard_triple(pair: SymmetricPair, mu: Partition) -> SL2Triple:
     """
     if pair.family not in (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT):
         raise PreconditionError("closed-form triples exist only for built-in families")
-    x = orbit_rep(pair, mu)
+    x = _canonical_rep(pair.family, tuple(mu))
     if is_zero_vector(x):
         z = tuple(pair.algebra.zero_vector())
         return SL2Triple(e=z, h=z, f=z, theta_adapted=True, degenerate=True)
@@ -194,8 +216,8 @@ def standard_triple(pair: SymmetricPair, mu: Partition) -> SL2Triple:
     f = _flatten(fm)
     if pair.family == FAMILY_QUADRATIC_EXT:
         f = [e / pair.disc for e in f]
-    triple = SL2Triple(e=tuple(x), h=tuple(_plus_one_vector(pair, _flatten(hm))),
-                       f=tuple(_minus_one_vector(pair, f)), theta_adapted=True)
+    triple = SL2Triple(e=x, h=tuple(_plus_one_vector(pair.family, _flatten(hm))),
+                       f=tuple(_minus_one_vector(pair.family, f)), theta_adapted=True)
     verify_triple(pair.algebra, triple)
     if not pair.in_h(list(triple.h)):
         raise InvariantViolation("closed-form h is not theta-fixed")
@@ -260,7 +282,7 @@ def _inner_weights_from_spectrum(n: int, mu: Partition) -> Tuple[int, ...]:
     """Weights of gl_n under the standard J_mu triple, via its ad h weight spaces."""
     g = _gl(n)
     hm, fm = standard_blocks(mu)
-    triple = SL2Triple(e=tuple(_flatten(jordan_matrix(mu))), h=tuple(_flatten(hm)),
+    triple = SL2Triple(e=tuple(_jordan_flat(mu)), h=tuple(_flatten(hm)),
                        f=tuple(_flatten(fm)))
     verify_triple(g, triple)
     return sl2_decompose(g, triple).weights
@@ -293,13 +315,13 @@ class OrbitAudit:
 def speciality_audit(pair: SymmetricPair, x: Vector) -> OrbitAudit:
     """Audit one nilpotent element of the -1 eigenspace.
 
-    Builds the adapted triple, restricts ad(h) to the centralizer of x in
-    the +1 space, and fills the trace flags, the quotient spectrum, and
-    both weight multisets (spectral and combinatorial) when the pair is a
-    built-in family.  The canonical representative of its own Jordan type
-    gets the closed-form standard_triple; every other element is completed
-    by theta_adapt.  An InvariantViolation raised on the way names the
-    partition (or, for a custom pair, the element) it fired on.
+    The canonical representative of its own Jordan type gets the
+    closed-form standard_triple, any other element theta_adapt.  For a
+    built-in family the trace is trace_from_quotient, checked against the
+    Clebsch-Gordan sum, and both weight multisets are filled; a custom pair
+    takes centralizer_in and restricted_trace.  An InvariantViolation names
+    the partition (for a custom pair, the element) and the stage: triple,
+    weights, quotient or trace.
     """
     partition = None
     if pair.family in (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT):
@@ -308,22 +330,31 @@ def speciality_audit(pair: SymmetricPair, x: Vector) -> OrbitAudit:
         partition = jordan_type(inner_nilpotent_matrix(pair, x))
     w_spec = None
     w_part = None
-    triple = None
+    stage = "triple"
     try:
-        if partition is not None:
-            if list(x) == orbit_rep(pair, partition):
-                triple = standard_triple(pair, partition)
+        if partition is not None and tuple(x) == _canonical_rep(pair.family, partition):
+            triple = standard_triple(pair, partition)
+        else:
+            triple = theta_adapt(pair, x)
+        if partition is None:
+            stage = "trace"
+            trace = restricted_trace(pair, list(triple.h), pair.centralizer_in(x, pair.h_basis))
+        else:
+            stage = "weights"
             w_spec = _inner_weights_from_spectrum(pair.inner_n, partition)
             w_part = clebsch_gordan_weights(partition)
-        if triple is None:
-            triple = theta_adapt(pair, x)
-        hx_basis = pair.centralizer_in(x, pair.h_basis)
-        trace = restricted_trace(pair, list(triple.h), hx_basis)
+        stage = "quotient"
         quotient = eigen_check(pair, x, triple)
+        if partition is not None:
+            stage = "trace"
+            trace = trace_from_quotient(pair.dim_gsigma, quotient)
+            if trace != sum(w_part):
+                raise InvariantViolation("%s from the quotient spectrum differs from the "
+                                         "Clebsch-Gordan sum %d" % (trace, sum(w_part)))
     except InvariantViolation as exc:
         where = ("partition %s" % (partition,) if partition is not None
                  else "element [%s]" % ",".join(str(c) for c in x))
-        raise InvariantViolation("%s: %s" % (where, exc)) from exc
+        raise InvariantViolation("%s: %s: %s" % (where, stage, exc)) from exc
     dim_s = pair.dim_gsigma
     return OrbitAudit(
         partition=partition,
@@ -338,6 +369,12 @@ def speciality_audit(pair: SymmetricPair, x: Vector) -> OrbitAudit:
         weights_from_partition=w_part,
         triple=triple,
     )
+
+
+def trace_from_quotient(dim_s: int, quotient: Sequence[Tuple[int, int]]) -> Fraction:
+    """tr(ad h on z_h(x)) = 2 dim s + sum_k (k - 2) m_k from the quotient
+    multiplicities m_k, for a built-in family (see the module docstring)."""
+    return Fraction(2 * dim_s + sum((k - 2) * m for k, m in quotient))
 
 
 def restricted_trace(pair: SymmetricPair, h: Vector, subspace: Sequence[Vector]) -> Fraction:
@@ -355,18 +392,12 @@ def restricted_trace(pair: SymmetricPair, h: Vector, subspace: Sequence[Vector])
 def eigen_check(pair: SymmetricPair, x: Vector, triple: SL2Triple) -> Tuple[Tuple[int, int], ...]:
     """Spectrum of ad(h) on the quotient s/[x, h] as (eigenvalue, multiplicity).
 
-    ad h preserves h and s with integer weights, and [h, x] = 2x, so ad x
-    maps the weight space h_k into s_{k+2} and [x, h] is graded: the
-    quotient has multiplicity m_k = dim s_k - rank(ad x : h_{k-2} -> s_k)
-    at k.  Each image [x, v] is verified to lie in the span of s_{k+2}
-    before its coordinates are read at that basis's pivot columns, so every
-    rank is taken on one small per-weight block.  That needs the bases of h
-    and s to be ad h eigenvectors, as they are for the closed-form triples;
-    for any other h (a theta_adapt triple) grading h and s would cost a
-    full-size kernel per weight, so the quotient is taken on normal forms
-    instead (_quotient_spectrum).  A non-integral weight raises; whether
-    the weights are all non-positive is the caller's verdict, and a
-    positive one is reported, not raised.
+    When the bases of h and s are ad h eigenvectors (the closed-form
+    triples), m_k = dim s_k - rank(ad x : h_{k-2} -> s_k), each image [x, v]
+    verified to lie in the span of s_{k+2} before its coordinates are read
+    at that basis's pivot columns; any other h (a theta_adapt triple) takes
+    _quotient_spectrum.  A non-integral weight raises; a positive one is
+    reported, not raised: that verdict is the caller's.
     """
     g = pair.algebra
     h = list(triple.h)

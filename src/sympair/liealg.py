@@ -199,9 +199,6 @@ class LieAlgebra:
             self._trace_form = _trace_pairing(self._realization_nonzeros())
         return self._trace_form
 
-    def form_value(self, gram: Matrix, x: Vector, y: Vector) -> Fraction:
-        return sum((a * b for a, b in zip(gram.matvec(y), x)), ZERO)
-
     # -- subspaces ------------------------------------------------------------
 
     def centralizer(self, elements: Sequence[Vector]) -> List[Vector]:

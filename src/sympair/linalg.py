@@ -23,17 +23,8 @@ Vector = List
 SparseVector = Dict
 
 
-def vec_add(x: Vector, y: Vector) -> Vector:
-    return [a + b for a, b in zip(x, y)]
-
-def vec_sub(x: Vector, y: Vector) -> Vector:
-    return [a - b for a, b in zip(x, y)]
-
 def vec_scale(c, x: Vector) -> Vector:
-    return [c * a for a in x]
-
-def vec_neg(x: Vector) -> Vector:
-    return [-a for a in x]
+    return [c * a if a else a for a in x]
 
 def is_zero_vector(x: Vector) -> bool:
     return all(not a for a in x)
@@ -68,10 +59,6 @@ class Matrix:
         return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def zeros(nrows: int, ncols: int) -> "Matrix":
-        return Matrix([[ZERO] * ncols for _ in range(nrows)])
-
-    @staticmethod
     def from_columns(cols: Sequence[Sequence]) -> "Matrix":
         return Matrix([list(r) for r in zip(*cols)])
 
@@ -100,14 +87,14 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return Matrix([vec_add(a, b) for a, b in zip(self.rows, other.rows)])
+        return Matrix([[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return Matrix([vec_sub(a, b) for a, b in zip(self.rows, other.rows)])
+        return Matrix([[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "Matrix":
-        return Matrix([vec_neg(r) for r in self.rows])
+        return Matrix([[-a for a in r] for r in self.rows])
 
     def scale(self, c) -> "Matrix":
         return Matrix([vec_scale(c, r) for r in self.rows])

@@ -156,20 +156,25 @@ class SymmetricPair:
         return [nonzeros(b) for b in self.gsigma_basis]
 
     def theta_apply(self, v: Vector) -> Vector:
-        if len(v) != self.dim_g:
-            raise ShapeError("theta operand must have length %d" % self.dim_g)
         out = [ZERO] * self.dim_g
-        for j, c in enumerate(v):
-            if c:
-                for i, t in self._theta_cols[j]:
-                    out[i] += t * c
+        for i, a in self._nonzeros_and_theta(v)[1].items():
+            out[i] = a
         return out
 
     def in_h(self, v: Vector) -> bool:
-        return self.theta_apply(v) == list(v)
+        nz, image = self._nonzeros_and_theta(v)
+        return image == nz
 
     def in_gsigma(self, v: Vector) -> bool:
-        return self.theta_apply(v) == [-a for a in v]
+        nz, image = self._nonzeros_and_theta(v)
+        return image == {i: -a for i, a in nz.items()}
+
+    def _nonzeros_and_theta(self, v: Vector) -> Tuple[SparseVector, SparseVector]:
+        """The nonzeros of v and of theta v, applying theta over nonzeros only."""
+        if len(v) != self.dim_g:
+            raise ShapeError("theta operand must have length %d" % self.dim_g)
+        nz = nonzeros(v)
+        return nz, sparse_combination((c, self._theta_cols[j]) for j, c in nz.items())
 
     def centralizer_in(self, x: Vector, subspace: Sequence[Vector]) -> List[Vector]:
         """Echelon basis of {v in span(subspace) : [x, v] = 0}, in g coordinates."""
@@ -257,12 +262,6 @@ class GroupElement:
                 rows[n + i][n + j] = right.rows[i][j]
         return GroupElement(pair, Matrix(rows))
 
-    def blocks(self) -> Tuple[Matrix, Matrix]:
-        n = self.pair.inner_n
-        left = Matrix([r[:n] for r in self.matrix.rows[:n]])
-        right = Matrix([r[n:] for r in self.matrix.rows[n:]])
-        return left, right
-
 
 def group_theta(pair: SymmetricPair, m: Matrix) -> Matrix:
     if pair.family == FAMILY_DIAGONAL:
@@ -300,29 +299,14 @@ def group_to_algebra_vector(pair: SymmetricPair, m: Matrix) -> Vector:
     Valid because both built-in families realize gl-type algebras whose
     realization is onto the relevant matrix space.
     """
+    if pair.family not in (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT):
+        raise PreconditionError("group operations are only available for built-in families")
     n = pair.inner_n
+    entries = [m.rows[i][j] for i in range(n) for j in range(n)]
     if pair.family == FAMILY_DIAGONAL:
-        coords = []
-        for i in range(n):
-            for j in range(n):
-                coords.append(m.rows[i][j])
-        for i in range(n):
-            for j in range(n):
-                coords.append(m.rows[n + i][n + j])
-        return coords
-    if pair.family == FAMILY_QUADRATIC_EXT:
-        plain, wpart = [], []
-        for i in range(n):
-            for j in range(n):
-                e = m.rows[i][j]
-                if isinstance(e, QuadExt):
-                    plain.append(e.a)
-                    wpart.append(e.b)
-                else:
-                    plain.append(rat(e))
-                    wpart.append(ZERO)
-        return plain + wpart
-    raise PreconditionError("group operations are only available for built-in families")
+        return entries + [m.rows[n + i][n + j] for i in range(n) for j in range(n)]
+    return ([e.a if isinstance(e, QuadExt) else rat(e) for e in entries]
+            + [e.b if isinstance(e, QuadExt) else ZERO for e in entries])
 
 
 # ---------------------------------------------------------------------------

@@ -293,7 +293,7 @@ def test_sweep_names_the_partition(monkeypatch):
 
     monkeypatch.setattr(criteria, "standard_triple", third_h)
     pair = make_diagonal_pair(2)
-    with pytest.raises(InvariantViolation, match=r"partition \(2,\): non-integral weight 2/3"):
+    with pytest.raises(InvariantViolation, match=r"partition \(2,\): quotient: non-integral weight 2/3"):
         audit_orbits(pair)
     x = criteria.orbit_rep(pair, (2,))
     with pytest.raises(InvariantViolation, match=r"^partition \(2,\)"):
