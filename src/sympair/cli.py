@@ -162,6 +162,10 @@ def _load_json(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise InputError("bad JSON in %s: line %d column %d"
                          % (path, exc.lineno, exc.colno)) from exc
+    except ValueError as exc:
+        # bytes that are not UTF-8, or an integer literal longer than int()
+        # reads from a string
+        raise InputError("bad JSON in %s: %s" % (path, exc)) from exc
 
 
 def _emit(text: str, out: Optional[str]):

@@ -10,7 +10,7 @@ sweep is finite: one representative per partition, each audited for
   * the quotient spectrum: eigenvalues of ad h on s/[x, h] must be
     non-positive integers;
   * the bookkeeping identity: the weight multiset of gl_n under the
-    partition's triple computed from its ad h weight spaces must equal
+    partition's triple, counted from its ad h weights, must equal
     the Clebsch-Gordan prediction from the partition, and
     sum(l + 1) = n^2.
 
@@ -29,7 +29,8 @@ z_h(x) has dimension dim h_k - r_k at weight k, and m_k = dim s_k - r_{k-2};
 ad h is traceless on h and on s, both copies of the adjoint module of gl_n,
 so tr(ad h | z_h(x)) = 2 dim s + sum_k (k - 2) m_k on either quotient route
 (trace_from_quotient).  Only a custom pair takes centralizer_in and
-restricted_trace.
+restricted_trace: its h need not be a copy of an adjoint module, and ad h
+need not be traceless on it.
 
 The Clebsch-Gordan route is an independent oracle: tensor products of
 Jordan blocks a, b contribute highest weights a+b-2, a+b-4, ..., |a-b|.
@@ -89,15 +90,9 @@ def partitions(n: int) -> List[Partition]:
     return out
 
 
-def jordan_matrix(mu: Partition) -> Matrix:
-    """Nilpotent Jordan matrix with block sizes mu (superdiagonal ones)."""
-    n = sum(mu)
-    flat = _jordan_flat(mu)
-    return Matrix([flat[i * n:(i + 1) * n] for i in range(n)])
-
-
 def _jordan_flat(mu: Partition) -> Vector:
-    """jordan_matrix(mu) flattened row by row, written directly."""
+    """The nilpotent Jordan matrix with block sizes mu (superdiagonal ones),
+    flattened row by row."""
     n = sum(mu)
     flat = [ZERO] * (n * n)
     offset = 0
@@ -151,7 +146,17 @@ def nilpotent_orbit_reps(pair: SymmetricPair) -> List[Tuple[Partition, Vector]]:
 
 def orbit_rep(pair: SymmetricPair, mu: Partition) -> Vector:
     """The canonical representative of the orbit with Jordan type mu."""
-    return list(_canonical_rep(pair.family, tuple(mu)))
+    return list(_canonical_rep(pair.family, _partition_of_n(pair, mu)))
+
+
+def _partition_of_n(pair: SymmetricPair, mu: Partition) -> Partition:
+    """mu as a tuple, refused unless it is a non-increasing sequence of
+    positive ints summing to the pair's inner n."""
+    mu = tuple(mu)
+    if not (all(type(p) is int and p > 0 for p in mu)
+            and all(a >= b for a, b in zip(mu, mu[1:])) and sum(mu) == pair.inner_n):
+        raise PreconditionError("%s is not a partition of n = %s" % (mu, pair.inner_n))
+    return mu
 
 
 @lru_cache(maxsize=None)
@@ -208,7 +213,7 @@ def standard_triple(pair: SymmetricPair, mu: Partition) -> SL2Triple:
     """
     if pair.family not in (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT):
         raise PreconditionError("closed-form triples exist only for built-in families")
-    x = _canonical_rep(pair.family, tuple(mu))
+    x = _canonical_rep(pair.family, _partition_of_n(pair, mu))
     if is_zero_vector(x):
         z = tuple(pair.algebra.zero_vector())
         return SL2Triple(e=z, h=z, f=z, theta_adapted=True, degenerate=True)
@@ -279,7 +284,7 @@ def _gl(n: int):
 
 @lru_cache(maxsize=None)
 def _inner_weights_from_spectrum(n: int, mu: Partition) -> Tuple[int, ...]:
-    """Weights of gl_n under the standard J_mu triple, via its ad h weight spaces."""
+    """Weights of gl_n under the standard J_mu triple, counted from its ad h weights."""
     g = _gl(n)
     hm, fm = standard_blocks(mu)
     triple = SL2Triple(e=tuple(_jordan_flat(mu)), h=tuple(_flatten(hm)),

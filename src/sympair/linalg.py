@@ -529,16 +529,11 @@ def is_unipotent_matrix(mat: Matrix) -> bool:
 
 
 def integer_spectrum(mat: Matrix, bound: int) -> dict:
-    """Multiplicity of each integer eigenvalue: the dimensions of integer_eigenspaces."""
-    return {k: len(space) for k, space in integer_eigenspaces(mat, bound).items()}
-
-
-def integer_eigenspaces(mat: Matrix, bound: int) -> dict:
-    """{k: kernel_basis(mat - k)} over the integer eigenvalues k of a square matrix.
+    """Multiplicity of each integer eigenvalue k, counted as n - rank(mat - k).
 
     The caller asserts the matrix acts semisimply with integer eigenvalues
-    in [-bound, bound].  Scans k = 0, 1, -1, 2, -2, ... and stops as soon
-    as the eigenspaces account for the whole dimension; if the bound is
+    in [-bound, bound].  Probes k = 0, 1, -1, 2, -2, ... and stops as soon
+    as the multiplicities account for the whole dimension; if the bound is
     exhausted first, the asserted spectrum shape is wrong and that gets
     raised, never papered over.
     """
@@ -550,17 +545,15 @@ def integer_eigenspaces(mat: Matrix, bound: int) -> dict:
     found = {}
     total = 0
     for k in _alternating_range(bound):
-        if total == n:
-            break
-        space = kernel_basis(shift_diagonal(mat, -k) if k else mat)
-        if space:
-            found[k] = space
-            total += len(space)
-    if total < n:
-        raise InvariantViolation(
-            "non-integral or out-of-range spectrum: weights %s account for %d of %d "
-            "dimensions within |k| <= %d" % (sorted(found), total, n, bound))
-    return dict(sorted(found.items()))
+        mult = n - rank(shift_diagonal(mat, -k) if k else mat)
+        if mult:
+            found[k] = mult
+            total += mult
+            if total == n:
+                return dict(sorted(found.items()))
+    raise InvariantViolation(
+        "non-integral or out-of-range spectrum: weights %s account for %d of %d "
+        "dimensions within |k| <= %d" % (sorted(found), total, n, bound))
 
 
 def _alternating_range(bound: int):

@@ -117,20 +117,6 @@ class SymmetricPair:
         if not (hb @ self.form @ sb.transpose()).is_zero():
             raise ShapeError("h is not B-orthogonal to the -1 eigenspace")
 
-    def check_grading(self):
-        """[h,h] in h, [h,s] in s, [s,s] in h -- implied by the automorphism
-        property, re-checked directly for tests."""
-        for basis_a, basis_b, sign in ((self.h_basis, self.h_basis, -1),
-                                       (self.h_basis, self.gsigma_basis, 1),
-                                       (self.gsigma_basis, self.gsigma_basis, -1)):
-            for a in basis_a:
-                for b in basis_b:
-                    v = self.algebra.bracket(a, b)
-                    tv = self.theta_apply(v)
-                    bad = [p + sign * q for p, q in zip(tv, v)]
-                    if not is_zero_vector(bad):
-                        raise ShapeError("grading violated")
-
     # -- convenience --------------------------------------------------------
 
     @property

@@ -10,6 +10,7 @@ byte-identical reports on every run.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -32,16 +33,22 @@ from .scalars import rat
 
 SCHEMA_VERSION = "1"
 DEFAULT_MAX_ORBIT_N = 6
+_EXPONENT = re.compile(r"[eE]\s*[-+]?([\d_]+)")
 
 
 def parse_rational(text) -> Fraction:
     """An exact rational from an int, a string like '2/3', or a Fraction.
 
     JSON booleans and floats are refused: true is not the number 1, and a
-    float such as 0.1 is only a binary approximation of a rational.
+    float such as 0.1 is only a binary approximation of a rational.  So is
+    a string whose decimal exponent has more than four digits.
     """
     if isinstance(text, (bool, float)):
         raise InputError("bad rational %r: use an integer or a string like '2/3'" % (text,))
+    exponent = _EXPONENT.search(text) if isinstance(text, str) else None
+    if exponent and len(exponent.group(1).replace("_", "").lstrip("0")) > 4:
+        # Fraction would expand 1e999999999 into a billion-digit integer
+        raise InputError("bad rational %r: exponent beyond 9999" % (text,))
     try:
         return rat(text)
     except (ValueError, ZeroDivisionError, TypeError) as exc:

@@ -14,6 +14,9 @@ exactly when the averaged h lies in the image of ad x.  The h of the
 adapted triple is the quantity every downstream criterion consumes; its
 restricted traces are independent of all the choices made here
 (re-checked by tests with randomized solves).
+
+Weights are counted, never given bases: by eigenvector buckets when h is
+diagonal, else by the rank probes of integer_spectrum.
 """
 
 from __future__ import annotations
@@ -30,15 +33,13 @@ from .linalg import (
     SparseVector,
     Vector,
     echelon_reduce,
-    echelon_rows,
-    integer_eigenspaces,
+    integer_spectrum,
     is_nilpotent_matrix,
     is_zero_vector,
     kernel_basis,
     nonzeros,
     shift_diagonal,
     solve,
-    sparse_combination,
     vec_scale,
 )
 from .pairs import SymmetricPair
@@ -179,23 +180,6 @@ class WeightDecomposition:
         return sum(self.weights)
 
 
-def weight_spaces(g: LieAlgebra, h: Vector, rows: Sequence[SparseVector]
-                  ) -> Dict[int, List[SparseVector]]:
-    """{k: basis of span(rows) ∩ ker(ad h - k)} over the weights k of ad h,
-    every vector given by its nonzeros.
-
-    The span must be ad h-stable, with ad h semisimple on it and its weights
-    integers.  When every row is an ad h eigenvector (a diagonal h on the
-    echelon bases of the built-in pairs, or on the E_ij of gl_n) the rows
-    are bucketed by eigenvector_weights; otherwise the weight spaces come
-    from ad h restricted to the span.  Weight spaces of RREF rows come back
-    in RREF either way.  A non-integral weight, a span that ad h leaves, or
-    weight spaces that do not exhaust the span raise InvariantViolation.
-    """
-    buckets = eigenvector_weights(g, h, rows)
-    return buckets if buckets is not None else _restricted_weight_spaces(g, h, rows)
-
-
 def eigenvector_weights(g: LieAlgebra, h: Vector, rows: Sequence[SparseVector]
                         ) -> Optional[Dict[int, List[SparseVector]]]:
     """The rows bucketed by weight when each is an ad h eigenvector, verified
@@ -212,21 +196,6 @@ def eigenvector_weights(g: LieAlgebra, h: Vector, rows: Sequence[SparseVector]
             raise InvariantViolation("non-integral weight %s of ad h" % k)
         buckets.setdefault(int(k), []).append(b)
     return dict(sorted(buckets.items()))
-
-
-def _restricted_weight_spaces(g: LieAlgebra, h: Vector, rows: Sequence[SparseVector]
-                              ) -> Dict[int, List[SparseVector]]:
-    """Weight spaces from restricted_ad on the RREF rows of the span: each
-    is the rows times the kernel of (restricted ad h) - k."""
-    rows = echelon_rows(rows, g.dim)
-    if not rows:
-        return {}
-    spaces = integer_eigenspaces(restricted_ad(g, h, rows), 2 * g.dim)
-    # RREF coefficients over RREF rows give RREF vectors: each is 1 at its
-    # leading row's pivot column and 0 at every other leading pivot.
-    return {k: [sparse_combination((c, r.items()) for c, r in zip(coeffs, rows) if c)
-                for coeffs in space]
-            for k, space in spaces.items()}
 
 
 def restricted_ad(g: LieAlgebra, h: Vector, rows: Sequence[SparseVector],
@@ -249,16 +218,18 @@ def restricted_ad(g: LieAlgebra, h: Vector, rows: Sequence[SparseVector],
 
 
 def sl2_decompose(g: LieAlgebra, triple: SL2Triple) -> WeightDecomposition:
-    """Decompose the adjoint module via its ad h weight spaces.
+    """Decompose the adjoint module via its ad h weight multiplicities.
 
-    m_k = dim ker(ad h - k), from weight_spaces over the standard basis; the
-    multiplicity of the irreducible with highest weight l is m_l - m_{l+2}.
-    Negative derived multiplicities or an unresolved spectrum mean the input
-    was not a module for the triple.
+    m_k is the weight-k bucket size of eigenvector_weights over the standard
+    basis, or integer_spectrum of ad h when h is not diagonal; the highest
+    weight l has multiplicity m_l - m_{l+2}.  Negative derived multiplicities
+    or an unresolved spectrum mean the input was not a module for the triple.
     """
-    basis = [{i: ONE} for i in range(g.dim)]
+    h = list(triple.h)
     try:
-        mults = {k: len(space) for k, space in weight_spaces(g, list(triple.h), basis).items()}
+        buckets = eigenvector_weights(g, h, [{i: ONE} for i in range(g.dim)])
+        mults = ({k: len(b) for k, b in buckets.items()} if buckets is not None
+                 else integer_spectrum(g.ad(h), 2 * g.dim))
     except InvariantViolation as exc:
         raise InvariantViolation("not an sl2 module: %s" % exc) from exc
     for k, m in mults.items():

@@ -383,9 +383,8 @@ def gauss_sum_oracle(a: int, p: int, k: int = 2) -> complex:
     """p^{-k/2} sum over x mod p^k of e^{2 pi i a x^2 / p^k}, gcd(a, p) = 1.
 
     For odd p this is exactly the gamma of the scalar a * p^k (valuation
-    parity k); for p = 2 normalize by the sum's own modulus via
-    ``gauss_sum_oracle_2``.  Entirely independent of the closed forms
-    above: a plain floating-point exponential sum.
+    parity k).  Entirely independent of the closed forms above: a plain
+    floating-point exponential sum.
     """
     if not _is_prime(p) or p == 2:
         raise PreconditionError("oracle needs an odd prime")
@@ -398,23 +397,3 @@ def gauss_sum_oracle(a: int, p: int, k: int = 2) -> complex:
     for x in range(q):
         total += cmath.exp(2j * math.pi * ((a * x * x) % q) / q)
     return total / math.sqrt(q)
-
-
-def gauss_sum_oracle_2(a: int, k: int) -> complex:
-    """Normalized 2-adic quadratic Gauss sum, unit modulus, k >= 2.
-
-    The raw sum over x mod 2^k has modulus 2^{(k+1)/2}; dividing by it
-    leaves exactly the eighth root that gamma(a * 2^k) predicts.
-    """
-    if a % 2 == 0:
-        raise PreconditionError("oracle needs an odd a")
-    if k < 2:
-        raise PreconditionError("2-adic sums need k >= 2 to stabilize")
-    q = 2 ** k
-    total = 0j
-    for x in range(q):
-        total += cmath.exp(2j * math.pi * ((a * x * x) % q) / q)
-    mod = abs(total)
-    if mod < 1e-9:
-        raise InvariantViolation("vanishing 2-adic Gauss sum at k >= 2")
-    return total / mod

@@ -45,6 +45,7 @@ from sympair.weil import (
     non_multiplicative_witness,
     weil_gamma_scalar,
 )
+from test_pairs import check_grading
 
 DIAG_SIZES = (2, 3, 4, 5, 6)
 QUAD_SIZES = (2, 3, 4)
@@ -225,7 +226,7 @@ def test_criterion_6_descendant_identity():
         assert lhs == rhs
         # the constructor re-verified the pair invariants; re-check the
         # gradings and the form properties explicitly
-        sub.check_grading()
+        check_grading(sub)
         assert rank(sub.form) == sub.dim_g
         assert sub.theta.transpose() @ sub.form @ sub.theta == sub.form
     _ok("criterion 6: descendant dimension identity and pair invariants "

@@ -6,20 +6,28 @@ from fractions import Fraction as F
 import pytest
 
 from sympair.criteria import (
+    _jordan_flat,
     audit_orbits,
     clebsch_gordan_weights,
     diagonal_trace_identity,
     eigen_check,
     inner_nilpotent_matrix,
-    jordan_matrix,
     jordan_type,
     nilpotent_orbit_reps,
     partitions,
     speciality_audit,
 )
 from sympair.errors import PreconditionError
+from sympair.linalg import Matrix
 from sympair.pairs import make_diagonal_pair, make_quadratic_ext_pair
 from sympair.sl2 import theta_adapt
+
+
+def jordan_matrix(mu):
+    """Nilpotent Jordan matrix with block sizes mu (superdiagonal ones)."""
+    n = sum(mu)
+    flat = _jordan_flat(mu)
+    return Matrix([flat[i * n:(i + 1) * n] for i in range(n)])
 
 
 class TestPartitions:
@@ -44,7 +52,6 @@ class TestJordanMatrices:
             assert jordan_type(jordan_matrix(mu)) == mu
 
     def test_rejects_non_nilpotent(self):
-        from sympair.linalg import Matrix
         one, zero = F(1), F(0)
         # invertible; rank 1 then 1 again; J_2 plus an invertible 1x1 block
         for m in (Matrix.identity(2), Matrix([[one, zero], [zero, zero]]),
@@ -53,7 +60,7 @@ class TestJordanMatrices:
                 jordan_type(m)
 
     def test_conjugated_jordan_matrices(self):
-        from sympair.linalg import Matrix, inverse
+        from sympair.linalg import inverse
         rng = random.Random(31)
         for n in range(1, 6):
             for mu in partitions(n):

@@ -1,7 +1,12 @@
-"""The graded orbit route (weight_spaces, graded eigen_check, pivot-read
-restricted_trace, weight-space sl2_decompose) against the complement, solve
-and rank-probe implementations it replaced, which are kept here as the
-reference."""
+"""The graded orbit route (graded eigen_check, pivot-read restricted_trace,
+counted sl2_decompose) against the complement, solve and rank-probe
+implementations it replaced, which are kept here as the reference.
+
+Spectra are counted, never given bases: by eigenvector_weights buckets
+when the basis is made of ad h eigenvectors, else by the rank probes of
+integer_spectrum.  Only a custom pair takes centralizer_in and
+restricted_trace for its trace; the last test shows why.
+"""
 
 import dataclasses
 from fractions import Fraction as F
@@ -13,13 +18,13 @@ from sympair import criteria, sl2
 from sympair.criteria import (
     audit_orbits,
     eigen_check,
-    jordan_matrix,
     partitions,
     restricted_trace,
     speciality_audit,
+    trace_from_quotient,
 )
 from sympair.errors import InvariantViolation
-from sympair.liealg import build_gl
+from sympair.liealg import LieAlgebra, build_gl
 from sympair.linalg import (
     Matrix,
     coords_in_basis,
@@ -29,9 +34,10 @@ from sympair.linalg import (
     rank,
     shift_diagonal,
 )
-from sympair.pairs import make_diagonal_pair, make_quadratic_ext_pair
-from sympair.sl2 import SL2Triple, sl2_decompose, theta_adapt, weight_spaces
+from sympair.pairs import SymmetricPair, make_diagonal_pair, make_quadratic_ext_pair
+from sympair.sl2 import SL2Triple, eigenvector_weights, sl2_decompose, theta_adapt
 
+from test_criteria import jordan_matrix
 from test_kernels import complete_basis
 
 
@@ -138,17 +144,17 @@ def conjugate_of(pair, mu):
 
 def test_conjugates_take_the_quotient_route(monkeypatch):
     weight_calls, quotient_sizes = [], []
-    kernel, spectrum = sl2.integer_eigenspaces, criteria.integer_spectrum
+    weights, spectrum = sl2.integer_spectrum, criteria.integer_spectrum
 
-    def spy_kernel(mat, bound):
+    def spy_weights(mat, bound):
         weight_calls.append(mat.nrows)
-        return kernel(mat, bound)
+        return weights(mat, bound)
 
     def spy_spectrum(mat, bound):
         quotient_sizes.append(mat.nrows)
         return spectrum(mat, bound)
 
-    monkeypatch.setattr(sl2, "integer_eigenspaces", spy_kernel)
+    monkeypatch.setattr(sl2, "integer_spectrum", spy_weights)
     monkeypatch.setattr(criteria, "integer_spectrum", spy_spectrum)
     pair = make_diagonal_pair(3)
     x = conjugate_of(pair, (2, 1))
@@ -227,7 +233,7 @@ def test_integer_spectrum_matches_reference():
 
 
 # ---------------------------------------------------------------------------
-# weight_spaces on small cases, and every way the graded route refuses
+# Weights on small cases, and every way the graded route refuses
 # ---------------------------------------------------------------------------
 
 def gl2_h():
@@ -235,34 +241,32 @@ def gl2_h():
     return [F(1), F(0), F(0), F(-1)]
 
 
-def test_weight_spaces_of_eigenvectors_and_not():
+def gl2_triple(h):
+    """A triple of gl_2 with the given h and zero e, f: sl2_decompose reads h only."""
+    zero = (F(0),) * 4
+    return SL2Triple(e=zero, h=tuple(h), f=zero)
+
+
+def test_eigenvector_weights_buckets_the_standard_basis():
     g = build_gl(2)
     standard = [{i: F(1)} for i in range(4)]
-    assert weight_spaces(g, gl2_h(), standard) == {
+    assert eigenvector_weights(g, gl2_h(), standard) == {
         -2: [{2: F(1)}], 0: [{0: F(1)}, {3: F(1)}], 2: [{1: F(1)}]}
-    # E11 + E12 and E11 - E12 are not eigenvectors, but span one weight-0
-    # and one weight-2 vector, which the slow path finds in RREF
-    mixed = [{0: F(1), 1: F(1)}, {0: F(1), 1: F(-1)}]
-    assert weight_spaces(g, gl2_h(), mixed) == {0: [{0: F(1)}], 2: [{1: F(1)}]}
+    # E11 + E12 is not an eigenvector, so no row is bucketed
+    assert eigenvector_weights(g, gl2_h(), [{0: F(1)}, {0: F(1), 1: F(1)}]) is None
 
 
-def test_non_eigenvector_basis_of_an_unstable_span_raises():
-    # span(E11 + E12) holds no eigenvector of ad h at all
-    with pytest.raises(InvariantViolation, match="does not preserve the span of the rows$"):
-        weight_spaces(build_gl(2), gl2_h(), [{0: F(1), 1: F(1)}])
-
-
-def test_non_exhausting_weight_spaces_raise():
+def test_non_exhausting_spectrum_raises():
     # ad E12 is nilpotent, not semisimple: its kernel is 2 of the 4 dimensions
     e12 = [F(0), F(1), F(0), F(0)]
-    with pytest.raises(InvariantViolation, match="account for 2 of 4"):
-        weight_spaces(build_gl(2), e12, [{i: F(1)} for i in range(4)])
+    with pytest.raises(InvariantViolation, match="^not an sl2 module: .*account for 2 of 4"):
+        sl2_decompose(build_gl(2), gl2_triple(e12))
 
 
 def test_non_integral_weight_is_named():
     third = [c / 3 for c in gl2_h()]
-    with pytest.raises(InvariantViolation, match="non-integral weight 2/3"):
-        weight_spaces(build_gl(2), third, [{i: F(1)} for i in range(4)])
+    with pytest.raises(InvariantViolation, match="^not an sl2 module: non-integral weight 2/3"):
+        sl2_decompose(build_gl(2), gl2_triple(third))
 
 
 def test_image_outside_the_target_weight_space_names_k():
@@ -332,3 +336,33 @@ def test_quotient_route_refuses_an_h_that_leaves_s():
     t = dataclasses.replace(criteria.standard_triple(pair, (2,)), h=h)
     with pytest.raises(InvariantViolation, match="does not preserve the span of the rows modulo"):
         eigen_check(pair, x, t)
+
+
+# ---------------------------------------------------------------------------
+# Why a custom pair keeps the centralizer route
+# ---------------------------------------------------------------------------
+
+def sl2_on_the_plane():
+    """sl2 ⋉ Q^2 with basis h, e, f, v+, v-: sl2 acting on its standard
+    module, which is an abelian ideal."""
+    brackets = {(0, 1): ((1, F(2)),), (0, 2): ((2, F(-2)),), (1, 2): ((0, F(1)),),
+                (0, 3): ((3, F(1)),), (0, 4): ((4, F(-1)),),
+                (1, 4): ((3, F(1)),), (2, 3): ((4, F(1)),)}
+    brackets.update({(j, i): tuple((k, -c) for k, c in row) for (i, j), row in brackets.items()})
+    return LieAlgebra(["h", "e", "f", "v+", "v-"], brackets, validate="full")
+
+
+def test_custom_pair_trace_is_not_read_off_the_quotient():
+    # theta fixes h and v+: the +1 space span(h, v+) is no copy of an
+    # adjoint module, and ad h has trace 1 on it
+    theta = Matrix([[F(c) if i == j else F(0) for j in range(5)]
+                    for i, c in enumerate((1, -1, -1, 1, -1))])
+    pair = SymmetricPair(sl2_on_the_plane(), theta, Matrix.identity(5))
+    x = [F(0), F(1), F(0), F(0), F(0)]
+    audit = speciality_audit(pair, x)
+    # z_h(e) = span(v+), of weight 1
+    assert audit.trace_on_hx == 1
+    assert audit.trace_on_hx == restricted_trace(pair, list(audit.triple.h),
+                                                 pair.centralizer_in(x, pair.h_basis))
+    assert audit.quotient_eigenvalues == ((-2, 1), (-1, 1))
+    assert trace_from_quotient(pair.dim_gsigma, audit.quotient_eigenvalues) == -1

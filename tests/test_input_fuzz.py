@@ -1,0 +1,186 @@
+"""Mutated input documents against the exit-code contract.
+
+Each example takes one valid document (a diagonal, quadratic_ext or custom
+pair spec, or a fact file), applies one mutation to it and runs cli.main in
+process on it: audit, triple and descend for a spec, infer for a fact
+file.  A mutation drops a key or item, retypes or re-nests a value, or
+inserts a new one; the values put in are huge ints, booleans, floats,
+strings, null and empty containers.  Whatever the document, the exit code
+is 0, 1 or 2 and stderr shows no traceback, no INTERNAL ERROR and no
+INVARIANT VIOLATED.
+"""
+
+import contextlib
+import copy
+import io
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from sympair.cli import main
+
+
+def sl2_table():
+    """[e, h] = -2e, [e, f] = h, [h, f] = -2f in the basis (e, h, f)."""
+    table = [[["0", "0", "0"] for _ in range(3)] for _ in range(3)]
+    for (i, j), cell in {(0, 1): ["-2", "0", "0"], (0, 2): ["0", "1", "0"],
+                         (1, 2): ["0", "0", "-2"]}.items():
+        table[i][j] = cell
+        table[j][i] = [str(-int(c)) for c in cell]
+    return table
+
+
+# (document, nilpotent element for triple, semisimple element for descend)
+SPECS = {
+    "diagonal": ({"family": "diagonal", "n": 2, "max_orbit_n": 3},
+                 "0,1,0,0,0,-1,0,0", "1,0,0,2,-1,0,0,-2"),
+    "quadratic_ext": ({"family": "quadratic_ext", "n": 2, "d": 5},
+                      "0,0,0,0,0,1,0,0", "0,0,0,0,1,0,0,-1"),
+    "custom": ({"family": "custom", "custom": {
+        "dim": 3,
+        "basis_labels": ["e", "h", "f"],
+        "structure_constants": sl2_table(),
+        "theta": [["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]],
+        "realization": [[["0", "1"], ["0", "0"]], [["1", "0"], ["0", "-1"]],
+                        [["0", "0"], ["1", "0"]]],
+    }}, "1,0,0", "1,0,1"),
+}
+FACTS = {"pair_id": "gl2", "atoms": ["TRACE_BOUND_ALL_NILPOTENT", "SPECIAL"]}
+
+KEYS = ["family", "n", "d", "D", "max_orbit_n", "custom", "dim", "basis_labels",
+        "structure_constants", "theta", "realization", "pair_id", "atoms"]
+
+JUNK = st.one_of(
+    st.integers(min_value=-10 ** 40, max_value=10 ** 40),
+    st.sampled_from([2 ** 63, -2 ** 63, 10 ** 12 + 1, 3 * 10 ** 24 + 1]),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=10),
+    st.sampled_from(["0", "-1", "2/3", "1/0", "1e5", "1e999999999", "1E-1_0000000",
+                     "diagonal", "custom", "SPECIAL", "GP1"]),
+    st.none(),
+    st.sampled_from([[], {}]),
+)
+
+
+def locations(doc, path=()):
+    """Every path into the document, the root included."""
+    yield path
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from locations(value, path + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc with one key dropped, one value retyped or re-nested, or one value inserted."""
+    doc = copy.deepcopy(doc)
+    # depth first, then a path at that depth, so that the few keys near the
+    # root are drawn as often as the many cells of a matrix
+    by_depth = {}
+    for path in locations(doc):
+        by_depth.setdefault(len(path), []).append(path)
+    path = draw(st.sampled_from(by_depth[draw(st.sampled_from(sorted(by_depth)))]))
+    parent = None
+    node = doc
+    for key in path:
+        parent, node = node, node[key]
+    kinds = ["retype", "renest", "insert"] + (["drop"] if path else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "drop":
+        del parent[path[-1]]
+        return doc
+    if kind == "insert" and isinstance(node, dict):
+        node[draw(st.sampled_from(KEYS) | st.text(max_size=4))] = draw(JUNK)
+        return doc
+    if kind == "insert" and isinstance(node, list):
+        node.insert(draw(st.integers(0, len(node))), draw(JUNK))
+        return doc
+    if kind == "renest":
+        value = draw(st.sampled_from([[node], {"value": node}]))
+    else:
+        value = draw(JUNK)
+    if not path:
+        return value
+    parent[path[-1]] = value
+    return doc
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_contract(code, err):
+    assert code in (0, 1, 2), err
+    for banner in ("Traceback", "INTERNAL ERROR", "INVARIANT VIOLATED"):
+        assert banner not in err, err
+
+
+@st.composite
+def mutated_specs(draw):
+    doc, nilpotent, semisimple = SPECS[draw(st.sampled_from(sorted(SPECS)))]
+    command = draw(st.sampled_from(["audit", "triple", "descend"]))
+    element = {"audit": [], "triple": ["--element", nilpotent],
+               "descend": ["--element", semisimple]}[command]
+    return draw(mutated(doc)), [command] + element
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_specs())
+def test_mutated_spec_keeps_the_exit_code_contract(tmp_path_factory, drawn):
+    doc, argv = drawn
+    path = tmp_path_factory.getbasetemp() / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert_contract(*run([argv[0], "--spec", str(path)] + argv[1:]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated(FACTS))
+def test_mutated_fact_file_keeps_the_exit_code_contract(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "facts.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert_contract(*run(["infer", "--facts", str(path)]))
+
+
+def test_base_documents_run(tmp_path):
+    """The unmutated documents are valid: each subcommand exits 0 on them,
+    except descend, which refuses the non-split element of quadratic_ext."""
+    path = tmp_path / "doc.json"
+    for family, (doc, nilpotent, semisimple) in SPECS.items():
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(["audit", "--spec", str(path)])[0] == (2 if family == "custom" else 0)
+        assert run(["triple", "--spec", str(path), "--element", nilpotent])[0] == 0
+        want = 2 if family == "quadratic_ext" else 0
+        assert run(["descend", "--spec", str(path), "--element", semisimple])[0] == want
+    path.write_text(json.dumps(FACTS), encoding="utf-8")
+    assert run(["infer", "--facts", str(path)])[0] == 0
+
+
+def test_unreadable_json_is_bad_input(tmp_path):
+    # an integer literal of 5,000 digits, more than int() reads from a
+    # string, and a byte that is not UTF-8: json.load raises a plain
+    # ValueError for each, not a JSONDecodeError
+    path = tmp_path / "spec.json"
+    for text in (b'{"family": "diagonal", "n": %s}' % (b"1" * 5000),
+                 b'{"family": "diagonal", "n": 2, "x": "\xff"}'):
+        path.write_bytes(text)
+        code, err = run(["audit", "--spec", str(path)])
+        assert code == 2 and err.startswith("error: bad JSON in "), err
+
+
+def test_a_huge_decimal_exponent_is_refused_before_expansion(tmp_path):
+    # Fraction("1e999999999") would build a billion-digit integer first
+    doc = copy.deepcopy(SPECS["custom"][0])
+    doc["custom"]["theta"][0][0] = "1e999999999"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["triple", "--spec", str(path), "--element", "1,0,0"],
+                 ["weil", "--place", "real", "--form", "1,1E-1_0000000"]):
+        code, err = run(argv)
+        assert code == 2 and "exponent" in err, err

@@ -15,6 +15,7 @@ from sympair.sl2 import (
     theta_adapt,
     verify_triple,
 )
+from test_criteria import jordan_matrix
 
 
 def gl_vec(n, entries):
@@ -62,7 +63,7 @@ class TestJacobsonMorozov:
             jacobson_morozov(ab, x)
 
     def test_relations_on_all_gl4_partitions(self):
-        from sympair.criteria import jordan_matrix, partitions
+        from sympair.criteria import partitions
         g = build_gl(4)
         for mu in partitions(4):
             jm = jordan_matrix(mu)
@@ -207,7 +208,7 @@ class TestDecomposition:
         assert sl2_decompose(ab, t).weights == (0, 0)
 
     def test_weight_symmetry_and_dim_identity(self):
-        from sympair.criteria import jordan_matrix, partitions
+        from sympair.criteria import partitions
         from sympair.linalg import integer_spectrum
         for n in (2, 3, 4):
             g = build_gl(n)

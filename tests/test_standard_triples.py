@@ -1,5 +1,6 @@
 """Closed-form standard triples against the solver, and which path the sweep takes."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -12,10 +13,12 @@ from sympair.criteria import (
     standard_blocks,
     standard_triple,
 )
+from sympair.errors import PreconditionError
 from sympair.liealg import build_gl
 from sympair.linalg import Matrix, inverse
 from sympair.pairs import make_diagonal_pair, make_quadratic_ext_pair
 from sympair.sl2 import jacobson_morozov, theta_adapt
+from test_criteria import jordan_matrix
 
 PAIRS = ([("diagonal", n, None) for n in range(1, 7)]
          + [("quadratic_ext", n, d) for n in range(1, 5) for d in (-1, 2, 5)])
@@ -36,7 +39,7 @@ def test_closed_form_equals_theta_adapt(family, n, d):
 def test_gl_blocks_equal_jacobson_morozov(n):
     g = build_gl(n)
     for mu in partitions(n):
-        jm = criteria.jordan_matrix(mu)
+        jm = jordan_matrix(mu)
         t = jacobson_morozov(g, [e for row in jm.rows for e in row])
         if t.degenerate:
             continue
@@ -50,7 +53,7 @@ def _conjugate_rep(pair, mu):
     n = pair.inner_n
     g = Matrix([[F(1) if i == j else F(i - j) if i > j else F(0) for j in range(n)]
                 for i in range(n)])
-    x = g @ criteria.jordan_matrix(mu) @ inverse(g)
+    x = g @ jordan_matrix(mu) @ inverse(g)
     flat = [e for row in x.rows for e in row]
     if pair.family == "diagonal":
         return flat + [-e for e in flat]
@@ -81,3 +84,14 @@ def test_only_canonical_representatives_skip_the_solver(family, n, d, monkeypatc
             assert audit.partition == canonical.partition == mu
             assert audit.trace_on_hx == canonical.trace_on_hx
             assert audit.quotient_eigenvalues == canonical.quotient_eigenvalues
+
+
+# mu against n = 3: the wrong size, a zero part, a zero part inside, rising parts
+@pytest.mark.parametrize("mu", [(2,), (0, 3), (2, 0, 1), (1, 2)])
+def test_a_non_partition_of_n_is_refused(mu):
+    pair = make_diagonal_pair(3)
+    message = r"^%s is not a partition of n = 3$" % re.escape(str(mu))
+    with pytest.raises(PreconditionError, match=message):
+        orbit_rep(pair, mu)
+    with pytest.raises(PreconditionError, match=message):
+        standard_triple(pair, mu)
