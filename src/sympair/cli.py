@@ -30,6 +30,7 @@ from .report import (
     PairSpec,
     audit_report,
     build_pair,
+    check_rational_size,
     fmt,
     pair_summary,
     parse_pair_spec,
@@ -223,7 +224,12 @@ def _cmd_weil(args) -> int:
         raise InputError("--t must be nonzero")
     gamma = weil_gamma(form, place)
     delta = delta_factor(form, t, place)
-    root, mod_sq, mod_dec = homogeneity_factor(form, t, place)
+    try:
+        root, mod_sq, mod_dec = homogeneity_factor(form, t, place)
+    except OverflowError as exc:
+        # the decimal rendering of |t|^(dim/2) is a float
+        raise InputError("|t|^%d is too large to render as a decimal" % form.dim) from exc
+    check_rational_size(mod_sq, "the squared modulus |t|^%d" % form.dim)
     doc = {
         "schema": SCHEMA_VERSION,
         "place": str(place),

@@ -4,15 +4,19 @@ Everything here is pure and deterministic: ``rref`` is the only
 Gauss-Jordan loop, it always pivots on the first row with a nonzero entry
 in the current column, and reduced row echelon form is canonical, so
 ranks, kernel bases, solutions, echelon bases and Krylov annihilators are
-reproducible across runs.  No floating point anywhere.  Scalars start
-from the Fraction constants ZERO and ONE; QuadExt entries work unchanged
-through their reflected operators against Fraction.
+reproducible across runs.  No floating point anywhere.  Entries are
+rationals (Fraction, or int); ``rref`` scales each row to integers by the
+lcm of its denominators, eliminates over Z, and builds Fractions once at
+the end.  Products and sums also take QuadExt entries, through their
+reflected operators against Fraction, but nothing here eliminates over
+Q(sqrt(d)): pairs.py takes ranks and inverses there at the group-element
+boundary, on the rational 2n x 2n realification.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .errors import InputError, InvariantViolation, ShapeError
@@ -36,9 +40,11 @@ def nonzeros(x: Vector) -> SparseVector:
 class Matrix:
     """Dense matrix over Q, immutable by convention.
 
-    Rows are lists of Fraction or QuadExt entries.  Operations return new
-    matrices; nothing mutates after construction, so instances are safe to
-    share across threads.
+    Rows are lists of rational entries.  Products and elementwise
+    operations also accept QuadExt entries; rref, and everything built on
+    it, takes rationals only.  Operations return new matrices; nothing
+    mutates after construction, so instances are safe to share across
+    threads.
     """
 
     __slots__ = ("rows", "nrows", "ncols")
@@ -143,11 +149,17 @@ def rref(mat: Matrix):
 
     Returns (R, pivot_columns).  RREF is canonical for the row space, so
     every consumer downstream inherits determinism from this one routine.
-    Elimination works in place on a private copy of the rows and touches
-    only the nonzero entries of the pivot row: left of its pivot column
-    that row is zero, and every other entry would contribute a - f * 0.
+    Elimination is fraction-free: each row is scaled to integers once, and
+    a row is only ever replaced by an integer combination of itself and
+    the pivot row, which spans the same row space.  When the pivot p
+    divides the entry f to clear, the row becomes row - (f/p) * pivot row;
+    otherwise it becomes (p/g) * row - (f/g) * pivot row with g = gcd(p, f),
+    divided by the gcd of its entries.  Only the nonzero entries of the
+    pivot row are touched: left of its pivot column that row is zero.
+    Rationals are built once at the end, dividing each pivot row by its
+    pivot; the rows past the rank are zero.
     """
-    rows = [list(r) for r in mat.rows]
+    rows = [_integer_row(r) for r in mat.rows]
     m, n = len(rows), len(rows[0])
     pivots = []
     r = 0
@@ -162,24 +174,54 @@ def rref(mat: Matrix):
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
         prow = rows[r]
-        pivot = prow[c]
+        p = prow[c]
         nz = [(j, prow[j]) for j in range(c, n) if prow[j]]
-        if pivot != 1:
-            inv = 1 / pivot
-            nz = [(j, e * inv) for j, e in nz]
-            for j, e in nz:
-                prow[j] = e
         for i in range(m):
             ri = rows[i]
             f = ri[c]
             if f and i != r:
+                q, rest = divmod(f, p)
+                if rest:
+                    g = gcd(p, f)
+                    a, q = p // g, f // g
+                    ri = [a * x for x in ri]
                 for j, b in nz:
-                    ri[j] -= f * b
+                    ri[j] -= q * b
+                if rest:
+                    g = gcd(*ri)
+                    rows[i] = [x // g for x in ri] if g > 1 else ri
         pivots.append(c)
         r += 1
         if r == m:
             break
-    return Matrix(rows), pivots
+    out = [_pivot_row(rows[t], c) for t, c in enumerate(pivots)]
+    out += [[ZERO] * n for _ in range(m - r)]
+    return Matrix(out), pivots
+
+
+def _integer_row(row: Sequence) -> List[int]:
+    """The row scaled to integers by the lcm of its denominators, read over nonzeros.
+
+    Most zero entries are the shared ZERO, which the identity test passes
+    over without a call to Fraction.__bool__.
+    """
+    nz = [(j, e) for j, e in enumerate(row) if e is not ZERO and e]
+    out = [0] * len(row)
+    scale = lcm(*(e.denominator for _, e in nz))
+    for j, e in nz:
+        out[j] = e.numerator * (scale // e.denominator)
+    return out
+
+
+def _pivot_row(row: List[int], c: int) -> Vector:
+    """The integer pivot row divided by its entry at the pivot column c, as Fractions."""
+    p = row[c]
+    out = [ZERO] * len(row)
+    for j in range(c, len(row)):
+        x = row[j]
+        if x:
+            out[j] = ONE if x == p else Fraction(x, p)
+    return out
 
 
 def rank(mat: Matrix) -> int:

@@ -43,6 +43,7 @@ from .linalg import (
     shift_diagonal,
     solve_many,
     sparse_combination,
+    vec_scale,
 )
 from .scalars import ONE, ZERO, QuadExt, rat
 
@@ -212,8 +213,9 @@ class GroupElement:
 
     diagonal family: a 2n x 2n rational block-diagonal matrix (the two
     GL_n components).  quadratic_ext family: an n x n matrix over
-    Q(sqrt(d)).  Custom pairs have no canonical group realization, so no
-    group operations.
+    Q(sqrt(d)), whose invertibility is read off its rational
+    realification.  Custom pairs have no canonical group realization, so
+    no group operations.
     """
 
     pair: SymmetricPair
@@ -235,7 +237,8 @@ class GroupElement:
                 raise ShapeError("group element must be %dx%d over the extension" % (n, n))
         else:
             raise PreconditionError("group operations are only available for built-in families")
-        if rank(self.matrix) != self.matrix.nrows:
+        m = self.matrix if fam == FAMILY_DIAGONAL else _realification(self.pair, self.matrix)
+        if rank(m) != m.nrows:
             raise ShapeError("group element must be invertible")
 
     @staticmethod
@@ -265,7 +268,27 @@ def group_theta(pair: SymmetricPair, m: Matrix) -> Matrix:
 
 def group_sigma(pair: SymmetricPair, m: Matrix) -> Matrix:
     """The antiinvolution sigma(g) = theta(g^{-1})."""
-    return group_theta(pair, inverse(m))
+    if pair.family != FAMILY_QUADRATIC_EXT:
+        return group_theta(pair, inverse(m))
+    # The inverse of [[A, dB], [B, A]] realifies C + D w = m^{-1}: its first
+    # block column is [C; D].
+    n = m.nrows
+    inv = inverse(_realification(pair, m)).rows
+    return group_theta(pair, Matrix([[QuadExt(c, e, pair.disc) for c, e in zip(cr[:n], er[:n])]
+                                     for cr, er in zip(inv[:n], inv[n:])]))
+
+
+def _realification(pair: SymmetricPair, m: Matrix) -> Matrix:
+    """The 2n x 2n rational matrix [[A, dB], [B, A]] of m = A + B w over
+    Q(sqrt(d)), w**2 = d: m acting Q-linearly on E^n = Q^2n (rational parts
+    first).  Its rank over Q is twice the rank of m over E."""
+    zero = QuadExt(ZERO, ZERO, pair.disc)
+    # Adding to zero coerces rational entries and refuses another d.
+    ext = [[zero + e for e in row] for row in m.rows]
+    a = [[e.a for e in row] for row in ext]
+    b = [[e.b for e in row] for row in ext]
+    return Matrix([ra + vec_scale(pair.disc, rb) for ra, rb in zip(a, b)]
+                  + [rb + ra for ra, rb in zip(a, b)])
 
 
 def symmetrize(pair: SymmetricPair, g: GroupElement) -> GroupElement:

@@ -34,6 +34,10 @@ from .scalars import rat
 SCHEMA_VERSION = "1"
 DEFAULT_MAX_ORBIT_N = 6
 _EXPONENT = re.compile(r"[eE]\s*[-+]?([\d_]+)")
+# Most decimal digits in the numerator or the denominator of any rational
+# the command line reads or prints; Python prints no integer beyond 4,300.
+MAX_RATIONAL_DIGITS = 1000
+_DIGITS_LIMIT = 10 ** MAX_RATIONAL_DIGITS
 
 
 def parse_rational(text) -> Fraction:
@@ -41,7 +45,8 @@ def parse_rational(text) -> Fraction:
 
     JSON booleans and floats are refused: true is not the number 1, and a
     float such as 0.1 is only a binary approximation of a rational.  So is
-    a string whose decimal exponent has more than four digits.
+    a string whose decimal exponent has more than four digits, and any
+    value beyond MAX_RATIONAL_DIGITS.
     """
     if isinstance(text, (bool, float)):
         raise InputError("bad rational %r: use an integer or a string like '2/3'" % (text,))
@@ -50,9 +55,19 @@ def parse_rational(text) -> Fraction:
         # Fraction would expand 1e999999999 into a billion-digit integer
         raise InputError("bad rational %r: exponent beyond 9999" % (text,))
     try:
-        return rat(text)
+        x = rat(text)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise InputError("bad rational %r" % (text,)) from exc
+    return check_rational_size(x, "bad rational")
+
+
+def check_rational_size(x: Fraction, what: str) -> Fraction:
+    """x itself, or InputError when its numerator or denominator has more
+    than MAX_RATIONAL_DIGITS digits."""
+    if abs(x.numerator) >= _DIGITS_LIMIT or x.denominator >= _DIGITS_LIMIT:
+        raise InputError("%s: more than %d digits in the numerator or denominator"
+                         % (what, MAX_RATIONAL_DIGITS))
+    return x
 
 
 def fmt(x: Fraction) -> str:

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 
+import pytest
+
 import sympair.cli
 from sympair.cli import main
 from sympair.criteria import audit_orbits
@@ -47,3 +49,20 @@ def test_unexpected_exception_exits_3_with_banner(monkeypatch, capsys):
     assert "INTERNAL ERROR: RuntimeError: synthetic failure" in captured.err
     assert "this is a bug" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    # a 3,000-digit t: beyond the size bound on every rational read
+    ["weil", "--place", "real", "--form", "1,1", "--t", "7" * 3000],
+    # a 5,001-digit coefficient, which Python would refuse to print
+    ["weil", "--place", "real", "--form", "1e5000,1"],
+    # |t|^4 = 10^800 is within the bound but beyond a float
+    ["weil", "--place", "real", "--form", "1,1,1,1", "--t", "1" + "0" * 200],
+    # |t|^8 has an 8,000-digit denominator
+    ["weil", "--place", "real", "--form", "1,1,1,1,1,1,1,1", "--t", "1/" + "9" * 990],
+], ids=["huge-t", "huge-coefficient", "float-overflow", "huge-modulus"])
+def test_oversized_weil_numbers_exit_2(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "INTERNAL ERROR" not in err

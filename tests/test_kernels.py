@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sympair.criteria import audit_orbits
+from sympair.errors import ShapeError
 from sympair.liealg import LieAlgebra, build_gl, build_product, build_quadratic_extension
 from sympair.linalg import (
     Matrix,
@@ -14,17 +15,17 @@ from sympair.linalg import (
     _vector_annihilator,
     coords_in_basis,
     echelon_subspace,
-    inverse,
     kernel_basis,
     kernel_in_span,
     minimal_polynomial,
-    rank,
     rref,
     shift_diagonal,
 )
 from sympair.pairs import (
+    GroupElement,
     SymmetricPair,
     descendant,
+    group_sigma,
     make_diagonal_pair,
     make_quadratic_ext_pair,
 )
@@ -71,15 +72,17 @@ def naive_shift(a, c):
 
 
 fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+wide_fractions = st.builds(F, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 97))
+wide_integers = st.builds(F, st.integers(-10 ** 6, 10 ** 6))
 
 
 @st.composite
-def sparse_rows(draw, nrows=None, ncols=None):
+def sparse_rows(draw, nrows=None, ncols=None, entries=fractions, max_side=8):
     """Fraction rows with density 2%..100%, possibly with zeroed rows and columns."""
-    m = nrows or draw(st.integers(1, 8))
-    n = ncols or draw(st.integers(1, 8))
+    m = nrows or draw(st.integers(1, max_side))
+    n = ncols or draw(st.integers(1, max_side))
     density = draw(st.floats(0.02, 1.0))
-    rows = [[draw(fractions) if draw(st.floats(0, 1)) < density else F(0) for _ in range(n)]
+    rows = [[draw(entries) if draw(st.floats(0, 1)) < density else F(0) for _ in range(n)]
             for _ in range(m)]
     for i in draw(st.lists(st.integers(0, m - 1), max_size=2)):
         rows[i] = [F(0)] * n
@@ -89,8 +92,28 @@ def sparse_rows(draw, nrows=None, ncols=None):
     return rows
 
 
-@settings(max_examples=150, deadline=None)
-@given(sparse_rows())
+@st.composite
+def rref_inputs(draw):
+    """Small fractions, or numerators up to 10^6 over denominators up to 97,
+    in shapes up to 12 x 12 or as a tall augmented [A | b] of shape
+    2k x (k + 1) with b in the column span of A or not; a few rows are
+    made all-integer.  Signs are symmetric, so pivots are often negative."""
+    entries = draw(st.sampled_from((fractions, wide_fractions)))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 6))
+        a = draw(sparse_rows(2 * k, k, entries))
+        x = draw(sparse_rows(1, k, entries))[0]
+        b = naive_matvec(a, x) if draw(st.booleans()) else draw(sparse_rows(1, 2 * k, entries))[0]
+        rows = [row + [e] for row, e in zip(a, b)]
+    else:
+        rows = draw(sparse_rows(entries=entries, max_side=12))
+    for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
+        rows[i] = [draw(wide_integers) if e else e for e in rows[i]]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rref_inputs())
 def test_rref_matches_dense_elimination(rows):
     red, pivots = rref(Matrix(rows))
     want_rows, want_pivots = naive_rref(rows)
@@ -125,22 +148,32 @@ def quad(d):
     return st.builds(lambda a, b: QuadExt(a, b, F(d)), fractions, fractions)
 
 
+@lru_cache(maxsize=None)
+def gaussian_pair(n):
+    return make_quadratic_ext_pair(n, -1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 5), st.data())
 def test_quadext_kernels_match_dense(n, data):
+    """Products over Q(i) directly; invertibility and sigma at the group-element
+    boundary, where rref sees only the rational realification."""
     entry = st.one_of(st.just(QuadExt(F(0), F(0), F(-1))), quad(-1))
     a = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
     b = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
     v = [data.draw(entry) for _ in range(n)]
-    red, pivots = rref(Matrix(a))
-    want_rows, want_pivots = naive_rref(a)
-    assert (red.rows, pivots) == (want_rows, want_pivots)
-    assert rank(Matrix(a)) == len(want_pivots)
     assert (Matrix(a) @ Matrix(b)).rows == naive_matmul(a, b)
     assert Matrix(a).matvec(v) == naive_matvec(a, v)
-    if len(want_pivots) == n:
-        ident = [[QuadExt(F(int(i == j)), F(0), F(-1)) for j in range(n)] for i in range(n)]
-        assert naive_matmul(a, inverse(Matrix(a)).rows) == ident
+    pair = gaussian_pair(n)
+    one, zero = QuadExt(F(1), F(0), F(-1)), QuadExt(F(0), F(0), F(-1))
+    ident = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    red, pivots = naive_rref([row + e for row, e in zip(a, ident)])
+    if pivots[:n] != list(range(n)):
+        with pytest.raises(ShapeError, match="invertible"):
+            GroupElement(pair, Matrix(a))
+        return
+    g = GroupElement(pair, Matrix(a))
+    assert group_sigma(pair, g.matrix).rows == [[e.conj() for e in row[n:]] for row in red]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from sympair.linalg import (
     solve,
     solve_many,
 )
+from sympair.pairs import GroupElement, group_sigma, group_theta, make_quadratic_ext_pair
 from sympair.scalars import QuadExt
 
 
@@ -228,10 +229,15 @@ class TestQuadExtField:
         assert y.conj() != y
 
     def test_quadext_matrix_inverse(self):
+        # Inverted at the group-element boundary: theta(sigma(g)) = g^{-1}.
+        pair = make_quadratic_ext_pair(2, 2)
         w = QuadExt.of(0, 1, 2)
         one = QuadExt.of(1, 0, 2)
         m = Matrix([[one, w], [w, one]])   # det = 1 - 2 = -1, invertible
-        assert m @ inverse(m) == Matrix.identity(2)
+        g = GroupElement(pair, m)
+        assert m @ group_theta(pair, group_sigma(pair, g.matrix)) == Matrix.identity(2)
+        with pytest.raises(ShapeError, match="invertible"):
+            GroupElement(pair, Matrix([[one, w], [w, QuadExt.of(2, 0, 2)]]))   # det = 2 - 2
 
     def test_mixed_discriminants_rejected(self):
         with pytest.raises(ShapeError):

@@ -474,8 +474,10 @@ def _random_group_element(pair, rng):
                  else Matrix([[F(rng.randint(-1, 1)) for _ in range(n)] for _ in range(n)]))
         m = Matrix([[QuadExt(a, b, pair.disc) for a, b in zip(pr, wr)]
                     for pr, wr in zip(plain.rows, wpart.rows)])
-        if rank(m) == n:
+        try:
             return GroupElement(pair, m)
+        except ShapeError:  # not invertible over the extension
+            continue
 
 
 def _to_ambient(sub, v):
