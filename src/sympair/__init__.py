@@ -38,7 +38,7 @@ from .pairs import (
     make_quadratic_ext_pair,
     symmetrize,
 )
-from .scalars import QuadExt, rat
+from .scalars import rat
 from .sl2 import SL2Triple, WeightDecomposition, jacobson_morozov, sl2_decompose, theta_adapt
 from .criteria import (
     OrbitAudit,

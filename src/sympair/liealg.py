@@ -34,9 +34,8 @@ DenseTable = List[List[List[Fraction]]]
 
 class LieAlgebra:
     """Structure constants are given either as sparse rows {(i, j): ((k, c), ...)},
-    each listing increasing k with nonzero c, or as a dense table c[i][j][k];
-    a dense table is converted once and the dense view ``table`` is rebuilt
-    from the sparse rows only when read.
+    each listing increasing k with nonzero c, or as a dense table c[i][j][k],
+    which is converted to sparse rows once.
     """
 
     def __init__(self, labels: Sequence[str], structure: Union[SparseRows, DenseTable],
@@ -49,7 +48,6 @@ class LieAlgebra:
         self._rows: List[Dict[int, SparseRow]] = self._read_structure(structure)
         self.realization = realization
         self.conjugation = conjugation
-        self._table: Optional[DenseTable] = None
         self._realization_nz: Optional[List[Dict[Tuple[int, int], Fraction]]] = None
         self._killing: Optional[Matrix] = None
         self._trace_form: Optional[Matrix] = None
@@ -84,20 +82,6 @@ class LieAlgebra:
         return rows
 
     # -- structure access ---------------------------------------------------
-
-    @property
-    def table(self) -> DenseTable:
-        """Dense view c[i][j][k] of the structure constants, built on first read."""
-        if self._table is None:
-            d = self.dim
-            table = [[[ZERO] * d for _ in range(d)] for _ in range(d)]
-            for i, left in enumerate(self._rows):
-                for j, row in left.items():
-                    cell = table[i][j]
-                    for k, c in row:
-                        cell[k] = c
-            self._table = table
-        return self._table
 
     def sparse_row(self, i: int, j: int) -> SparseRow:
         return self._rows[i].get(j, ())
@@ -344,7 +328,9 @@ def build_quadratic_extension(g: LieAlgebra, disc) -> LieAlgebra:
 
     New basis: e_i (plain copy) followed by w*e_i where w**2 = disc.
     Brackets: [e_i, w e_j] = w [e_i, e_j] and [w e_i, w e_j] = disc [e_i, e_j].
-    The Galois conjugation (w -> -w) is stored as a linear map.
+    The realization sends A + B w to [[A, disc B], [B, A]], which is also how
+    a quadratic_ext group element is given.  The Galois conjugation
+    (w -> -w) is stored as a linear map.
     """
     disc = rat(disc)
     if disc.denominator != 1 or not is_square_free_non_square(int(disc)):

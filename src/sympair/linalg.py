@@ -7,10 +7,7 @@ ranks, kernel bases, solutions, echelon bases and Krylov annihilators are
 reproducible across runs.  No floating point anywhere.  Entries are
 rationals (Fraction, or int); ``rref`` scales each row to integers by the
 lcm of its denominators, eliminates over Z, and builds Fractions once at
-the end.  Products and sums also take QuadExt entries, through their
-reflected operators against Fraction, but nothing here eliminates over
-Q(sqrt(d)): pairs.py takes ranks and inverses there at the group-element
-boundary, on the rational 2n x 2n realification.
+the end.
 """
 
 from __future__ import annotations
@@ -40,11 +37,9 @@ def nonzeros(x: Vector) -> SparseVector:
 class Matrix:
     """Dense matrix over Q, immutable by convention.
 
-    Rows are lists of rational entries.  Products and elementwise
-    operations also accept QuadExt entries; rref, and everything built on
-    it, takes rationals only.  Operations return new matrices; nothing
-    mutates after construction, so instances are safe to share across
-    threads.
+    Rows are lists of rational entries.  Operations return new matrices;
+    nothing mutates after construction, so instances are safe to share
+    across threads.
     """
 
     __slots__ = ("rows", "nrows", "ncols")

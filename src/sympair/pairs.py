@@ -43,9 +43,8 @@ from .linalg import (
     shift_diagonal,
     solve_many,
     sparse_combination,
-    vec_scale,
 )
-from .scalars import ONE, ZERO, QuadExt, rat
+from .scalars import ONE, ZERO, rat
 
 FAMILY_DIAGONAL = "diagonal"
 FAMILY_QUADRATIC_EXT = "quadratic_ext"
@@ -211,34 +210,20 @@ def make_quadratic_ext_pair(n: int, disc) -> SymmetricPair:
 class GroupElement:
     """Invertible matrix in the realized group of a built-in family.
 
-    diagonal family: a 2n x 2n rational block-diagonal matrix (the two
-    GL_n components).  quadratic_ext family: an n x n matrix over
-    Q(sqrt(d)), whose invertibility is read off its rational
-    realification.  Custom pairs have no canonical group realization, so
-    no group operations.
+    The matrix is a rational 2n x 2n matrix in the span of the algebra's
+    realization: for the diagonal family the block-diagonal matrix of the
+    two GL_n components, for quadratic_ext the matrix [[A, dB], [B, A]] of
+    A + B w over Q(sqrt(d)) acting Q-linearly on E^n = Q^2n.  Both are
+    ``pair.algebra.realize`` of an algebra vector.  Custom pairs have no
+    canonical group realization, so no group operations.
     """
 
     pair: SymmetricPair
     matrix: Matrix
 
     def __post_init__(self):
-        fam = self.pair.family
-        if fam == FAMILY_DIAGONAL:
-            n = self.pair.inner_n
-            if self.matrix.nrows != 2 * n or self.matrix.ncols != 2 * n:
-                raise ShapeError("diagonal-family group element must be %dx%d" % (2 * n, 2 * n))
-            for i in range(2 * n):
-                for j in range(2 * n):
-                    if (i < n) != (j < n) and self.matrix.rows[i][j]:
-                        raise ShapeError("group element must be block diagonal")
-        elif fam == FAMILY_QUADRATIC_EXT:
-            n = self.pair.inner_n
-            if self.matrix.nrows != n or self.matrix.ncols != n:
-                raise ShapeError("group element must be %dx%d over the extension" % (n, n))
-        else:
-            raise PreconditionError("group operations are only available for built-in families")
-        m = self.matrix if fam == FAMILY_DIAGONAL else _realification(self.pair, self.matrix)
-        if rank(m) != m.nrows:
+        group_to_algebra_vector(self.pair, self.matrix)
+        if rank(self.matrix) != self.matrix.nrows:
             raise ShapeError("group element must be invertible")
 
     @staticmethod
@@ -253,42 +238,13 @@ class GroupElement:
 
 
 def group_theta(pair: SymmetricPair, m: Matrix) -> Matrix:
-    if pair.family == FAMILY_DIAGONAL:
-        n = pair.inner_n
-        rows = [[ZERO] * (2 * n) for _ in range(2 * n)]
-        for i in range(n):
-            for j in range(n):
-                rows[i][j] = m.rows[n + i][n + j]
-                rows[n + i][n + j] = m.rows[i][j]
-        return Matrix(rows)
-    if pair.family == FAMILY_QUADRATIC_EXT:
-        return Matrix([[e.conj() if isinstance(e, QuadExt) else e for e in row] for row in m.rows])
-    raise PreconditionError("group operations are only available for built-in families")
+    """theta on the group: the realization of theta applied to m's coordinates."""
+    return pair.algebra.realize(pair.theta_apply(group_to_algebra_vector(pair, m)))
 
 
 def group_sigma(pair: SymmetricPair, m: Matrix) -> Matrix:
     """The antiinvolution sigma(g) = theta(g^{-1})."""
-    if pair.family != FAMILY_QUADRATIC_EXT:
-        return group_theta(pair, inverse(m))
-    # The inverse of [[A, dB], [B, A]] realifies C + D w = m^{-1}: its first
-    # block column is [C; D].
-    n = m.nrows
-    inv = inverse(_realification(pair, m)).rows
-    return group_theta(pair, Matrix([[QuadExt(c, e, pair.disc) for c, e in zip(cr[:n], er[:n])]
-                                     for cr, er in zip(inv[:n], inv[n:])]))
-
-
-def _realification(pair: SymmetricPair, m: Matrix) -> Matrix:
-    """The 2n x 2n rational matrix [[A, dB], [B, A]] of m = A + B w over
-    Q(sqrt(d)), w**2 = d: m acting Q-linearly on E^n = Q^2n (rational parts
-    first).  Its rank over Q is twice the rank of m over E."""
-    zero = QuadExt(ZERO, ZERO, pair.disc)
-    # Adding to zero coerces rational entries and refuses another d.
-    ext = [[zero + e for e in row] for row in m.rows]
-    a = [[e.a for e in row] for row in ext]
-    b = [[e.b for e in row] for row in ext]
-    return Matrix([ra + vec_scale(pair.disc, rb) for ra, rb in zip(a, b)]
-                  + [rb + ra for ra, rb in zip(a, b)])
+    return group_theta(pair, inverse(m))
 
 
 def symmetrize(pair: SymmetricPair, g: GroupElement) -> GroupElement:
@@ -303,19 +259,20 @@ def is_normal(pair: SymmetricPair, g: GroupElement) -> bool:
 
 
 def group_to_algebra_vector(pair: SymmetricPair, m: Matrix) -> Vector:
-    """Coordinates of a group-realization matrix inside the Lie algebra.
+    """The algebra vector x with realize(x) = m, for a built-in family.
 
-    Valid because both built-in families realize gl-type algebras whose
-    realization is onto the relevant matrix space.
+    Raises ShapeError when m is not in the span of the realization.
     """
     if pair.family not in (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT):
         raise PreconditionError("group operations are only available for built-in families")
-    n = pair.inner_n
-    entries = [m.rows[i][j] for i in range(n) for j in range(n)]
-    if pair.family == FAMILY_DIAGONAL:
-        return entries + [m.rows[n + i][n + j] for i in range(n) for j in range(n)]
-    return ([e.a if isinstance(e, QuadExt) else rat(e) for e in entries]
-            + [e.b if isinstance(e, QuadExt) else ZERO for e in entries])
+    size = pair.algebra.realization[0].nrows
+    if m.nrows != size or m.ncols != size:
+        raise ShapeError("%s group element must be %dx%d" % (pair.family, size, size))
+    flat = [[e for row in r.rows for e in row] for r in pair.algebra.realization]
+    sols = solve_many(Matrix.from_columns(flat), [[e for row in m.rows for e in row]])
+    if sols is None:
+        raise ShapeError("matrix is not in the realization of the %s family" % pair.family)
+    return sols[0]
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +292,7 @@ def jordan_flags(pair: SymmetricPair, x) -> JordanFlags:
     Accepts an algebra coordinate vector or a GroupElement; both are
     checked through the rational matrix realization.
     """
-    if isinstance(x, GroupElement):
-        x = group_to_algebra_vector(pair, x.matrix)
-    m = pair.algebra.realize(x)
+    m = x.matrix if isinstance(x, GroupElement) else pair.algebra.realize(x)
     return JordanFlags(semisimple=is_semisimple_matrix(m),
                        nilpotent=is_nilpotent_matrix(m),
                        unipotent=is_unipotent_matrix(m))
@@ -420,8 +375,8 @@ def descendant(pair: SymmetricPair, x: Vector) -> SymmetricPair:
 def descendant_at_group_element(pair: SymmetricPair, g: GroupElement) -> SymmetricPair:
     """Descendant at s(g) for a normal group element.
 
-    Symmetrizes g, reads s(g) back as an algebra vector (the realization
-    is onto the matrix space), and builds the sub-pair on its centralizer.
+    Symmetrizes g, reads s(g) back as an algebra vector (its coordinates
+    in the realization), and builds the sub-pair on its centralizer.
     """
     if not is_normal(pair, g):
         raise PreconditionError("group element is not normal: sigma(g)g != g sigma(g)")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -35,7 +36,8 @@ SCHEMA_VERSION = "1"
 DEFAULT_MAX_ORBIT_N = 6
 _EXPONENT = re.compile(r"[eE]\s*[-+]?([\d_]+)")
 # Most decimal digits in the numerator or the denominator of any rational
-# the command line reads or prints; Python prints no integer beyond 4,300.
+# the command line reads.  Computed values can grow past it; fmt refuses
+# those beyond Python's printing limit (4,300 digits).
 MAX_RATIONAL_DIGITS = 1000
 _DIGITS_LIMIT = 10 ** MAX_RATIONAL_DIGITS
 
@@ -71,7 +73,22 @@ def check_rational_size(x: Fraction, what: str) -> Fraction:
 
 
 def fmt(x: Fraction) -> str:
-    return str(x)
+    """x as 'p/q' or 'p'.  A computed value whose numerator or denominator
+    has more digits than Python prints (4,300 by default) is refused with
+    InputError: it can only come from very large input entries."""
+    try:
+        return str(x)
+    except ValueError:
+        digits = max(_decimal_digits(x.numerator), _decimal_digits(x.denominator))
+        raise InputError("a computed value has %d digits, more than the %d Python prints"
+                         % (digits, sys.get_int_max_str_digits())) from None
+
+
+def _decimal_digits(n: int) -> int:
+    """The number of decimal digits of |n|, without printing it."""
+    n = abs(n)
+    k = int(n.bit_length() * 0.30102999566398120)   # log10(2): |n| has k or k + 1 digits
+    return k + 1 if n >= 10 ** k else k
 
 
 def fmt_vector(v: Sequence[Fraction]) -> List[str]:

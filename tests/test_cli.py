@@ -8,6 +8,7 @@ import pytest
 import sympair.cli
 from sympair.cli import main
 from sympair.liealg import build_gl
+from test_liealg import dense_table
 
 
 def run(capsys, *argv):
@@ -349,7 +350,7 @@ def _gl2_custom_doc(theta_of):
         "family": "custom",
         "custom": {
             "dim": 4,
-            "structure_constants": [[[str(c) for c in cell] for cell in row] for row in g.table],
+            "structure_constants": [[[str(c) for c in cell] for cell in row] for row in dense_table(g)],
             "theta": theta,
             "realization": [[[str(e) for e in r] for r in m.rows] for m in g.realization],
         },

@@ -2,14 +2,19 @@
 
 import dataclasses
 import json
+import random
+import sys
+from fractions import Fraction as F
 
 import pytest
 
 import sympair.cli
 from sympair.cli import main
 from sympair.criteria import audit_orbits
-from sympair.errors import InvariantViolation
+from sympair.errors import InputError, InvariantViolation
+from sympair.linalg import Matrix, inverse, rank
 from sympair.pairs import make_diagonal_pair
+from sympair.report import MAX_RATIONAL_DIGITS, fmt
 
 
 def test_criterion_failure_exits_1(monkeypatch, capsys, tmp_path):
@@ -66,3 +71,32 @@ def test_oversized_weil_numbers_exit_2(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "INTERNAL ERROR" not in err
+
+
+def test_fmt_refuses_only_what_python_cannot_print():
+    limit = sys.get_int_max_str_digits()
+    assert fmt(F(10 ** (limit - 1))) == "1" + "0" * (limit - 1)
+    assert fmt(F(-1, 10 ** (limit - 1))) == "-1/1" + "0" * (limit - 1)
+    for x in (F(10 ** limit), F(-1, 10 ** limit)):
+        with pytest.raises(InputError, match="%d digits" % (limit + 1)):
+            fmt(x)
+
+
+def test_triple_with_unprintable_entries_exits_2(capsys):
+    # (X, -X) for X = g J_3 g^-1: X is within the input bound, but the
+    # adapted triple's f has entries of more than 4,300 digits
+    rng = random.Random(1)
+    while True:
+        g = Matrix([[F(rng.randrange(10 ** 332, 10 ** 333) * rng.choice((1, -1)))
+                     for _ in range(3)] for _ in range(3)])
+        if rank(g) == 3:
+            break
+    j3 = Matrix([[F(int(j == i + 1)) for j in range(3)] for i in range(3)])
+    x = [e for row in (g @ j3 @ inverse(g)).rows for e in row]
+    assert max(len(str(abs(p))) for e in x for p in (e.numerator, e.denominator)) <= MAX_RATIONAL_DIGITS
+    element = ",".join(str(e) for e in x + [-e for e in x])
+    assert main(["triple", "--family", "diagonal", "--n", "3", "--element", element]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a computed value has ")
+    assert "INTERNAL ERROR" not in captured.err

@@ -1,5 +1,7 @@
 """The zero-skipping, sparse and rref-based kernels agree exactly with naive reference versions."""
 
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -28,8 +30,10 @@ from sympair.pairs import (
     group_sigma,
     make_diagonal_pair,
     make_quadratic_ext_pair,
+    symmetrize,
 )
-from sympair.scalars import QuadExt
+from test_liealg import dense_table
+from test_pairs import quad_matrix
 
 
 def naive_rref(rows):
@@ -39,7 +43,7 @@ def naive_rref(rows):
     pivots = []
     r = 0
     for c in range(n):
-        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        pr = next((i for i in range(r, m) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
@@ -144,36 +148,81 @@ def test_shift_diagonal_matches_identity_sum(n, data, c):
     assert shift_diagonal(Matrix(a), c).rows == naive_shift(a, c)
 
 
-def quad(d):
-    return st.builds(lambda a, b: QuadExt(a, b, F(d)), fractions, fractions)
+@dataclass(frozen=True)
+class Quad:
+    """a + b*w with w**2 = d: only the Q(sqrt d) arithmetic that naive_rref uses."""
+
+    a: F
+    b: F
+    d: F
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+    def __sub__(self, o):
+        return Quad(self.a - o.a, self.b - o.b, self.d)
+
+    def __mul__(self, o):
+        return Quad(self.a * o.a + self.d * self.b * o.b, self.a * o.b + self.b * o.a, self.d)
+
+    def inv(self):
+        norm = self.a * self.a - self.d * self.b * self.b
+        return Quad(self.a / norm, -self.b / norm, self.d)
 
 
 @lru_cache(maxsize=None)
-def gaussian_pair(n):
-    return make_quadratic_ext_pair(n, -1)
+def quad_pair(n, d):
+    return make_quadratic_ext_pair(n, d)
+
+
+def draw_quad_matrix(data, n):
+    """The parts A, B of A + B w; an entry of A + B w is zero half the time."""
+    entry = st.one_of(st.just((F(0), F(0))), st.tuples(fractions, fractions))
+    m = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    return [[e[0] for e in row] for row in m], [[e[1] for e in row] for row in m]
+
+
+def check_against_field_elimination(pair, a, b):
+    """GroupElement takes realize((A, B)) exactly when naive_rref of [A + B w | I]
+    over Q(sqrt d) pivots on the first n columns.  Then group_sigma is the
+    realized conjugate of that inverse, and symmetrize lands where sigma is 1."""
+    n, d = pair.inner_n, pair.disc
+    m = quad_matrix(pair, a, b)
+    ext = [[Quad(x, y, d) for x, y in zip(ra, rb)] + [Quad(F(int(i == j)), F(0), d) for j in range(n)]
+           for i, (ra, rb) in enumerate(zip(a, b))]
+    red, pivots = naive_rref(ext)
+    if pivots[:n] != list(range(n)):
+        with pytest.raises(ShapeError, match="invertible"):
+            GroupElement(pair, m)
+        return
+    g = GroupElement(pair, m)
+    inv = [row[n:] for row in red]
+    conj = quad_matrix(pair, [[e.a for e in row] for row in inv], [[-e.b for e in row] for row in inv])
+    assert group_sigma(pair, g.matrix) == conj
+    s = symmetrize(pair, g)
+    assert group_sigma(pair, s.matrix) == s.matrix
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 5), st.data())
 def test_quadext_kernels_match_dense(n, data):
-    """Products over Q(i) directly; invertibility and sigma at the group-element
-    boundary, where rref sees only the rational realification."""
-    entry = st.one_of(st.just(QuadExt(F(0), F(0), F(-1))), quad(-1))
-    a = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
-    b = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
-    v = [data.draw(entry) for _ in range(n)]
-    assert (Matrix(a) @ Matrix(b)).rows == naive_matmul(a, b)
-    assert Matrix(a).matvec(v) == naive_matvec(a, v)
-    pair = gaussian_pair(n)
-    one, zero = QuadExt(F(1), F(0), F(-1)), QuadExt(F(0), F(0), F(-1))
-    ident = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    red, pivots = naive_rref([row + e for row, e in zip(a, ident)])
-    if pivots[:n] != list(range(n)):
-        with pytest.raises(ShapeError, match="invertible"):
-            GroupElement(pair, Matrix(a))
-        return
-    g = GroupElement(pair, Matrix(a))
-    assert group_sigma(pair, g.matrix).rows == [[e.conj() for e in row[n:]] for row in red]
+    """Invertibility and sigma over Q(i), where rref sees only the rational realization."""
+    check_against_field_elimination(quad_pair(n, -1), *draw_quad_matrix(data, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((-1, 2, 5)), st.integers(1, 3), st.data())
+def test_quadext_group_elements_match_field_elimination(d, n, data):
+    """As above for d = -1, 2, 5; a rational matrix off the form [[A, dB], [B, A]] is refused."""
+    pair = quad_pair(n, d)
+    a, b = draw_quad_matrix(data, n)
+    check_against_field_elimination(pair, a, b)
+    # each entry of [[A, dB], [B, A]] is tied to one other, so moving one entry leaves the form
+    off = quad_matrix(pair, a, b).rows
+    i, j = data.draw(st.integers(0, 2 * n - 1)), data.draw(st.integers(0, 2 * n - 1))
+    off[i][j] += data.draw(fractions.filter(bool))
+    with pytest.raises(ShapeError, match="not in the realization"):
+        GroupElement(pair, Matrix(off))
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +397,9 @@ def pair_and_vectors(draw, count):
 def test_bracket_and_ad_match_dense_table(drawn):
     pair, (x, y) = drawn
     g = pair.algebra
-    assert g.bracket(x, y) == naive_bracket(g.table, x, y)
-    assert g.ad(x).rows == naive_ad(g.table, x)
+    table = dense_table(g)
+    assert g.bracket(x, y) == naive_bracket(table, x, y)
+    assert g.ad(x).rows == naive_ad(table, x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -379,10 +429,15 @@ def test_built_rows_are_realization_commutators(algebra):
 
 
 def test_built_in_pairs_never_build_the_dense_table(monkeypatch):
-    def refuse(self):
-        raise AssertionError("dense structure-constant table was materialized")
+    """Built-in algebras, their descendants and audits hand LieAlgebra sparse
+    rows; only a custom spec arrives as a dense table."""
+    read = LieAlgebra._read_structure
 
-    monkeypatch.setattr(LieAlgebra, "table", property(refuse))
+    def sparse_only(self, structure):
+        assert isinstance(structure, Mapping), "dense structure-constant table was built"
+        return read(self, structure)
+
+    monkeypatch.setattr(LieAlgebra, "_read_structure", sparse_only)
     for n in (1, 2, 3):
         pair = make_diagonal_pair(n)
         audit_orbits(pair)

@@ -20,6 +20,15 @@ def form_value(gram: Matrix, x, y):
     return sum((a * b for a, b in zip(gram.matvec(y), x)), F(0))
 
 
+def dense_table(g: LieAlgebra):
+    """Dense structure constants c[i][j][k], written out from g's sparse rows."""
+    table = [[[F(0)] * g.dim for _ in range(g.dim)] for _ in range(g.dim)]
+    for (i, j), row in g.sparse_rows().items():
+        for k, c in row:
+            table[i][j][k] = c
+    return table
+
+
 def form_radical_dimension(gram: Matrix) -> int:
     return gram.nrows - rank(gram)
 
@@ -112,12 +121,13 @@ class TestForms:
 
     def test_forms_are_invariant(self):
         g = gl2()
+        table = dense_table(g)
         for gram in (g.killing_form(), g.trace_form()):
             for zi in range(4):
                 for xi in range(4):
                     for yi in range(4):
-                        val = form_value(gram, g.table[zi][xi], E(g, yi)) + \
-                            form_value(gram, E(g, xi), g.table[zi][yi])
+                        val = form_value(gram, table[zi][xi], E(g, yi)) + \
+                            form_value(gram, E(g, xi), table[zi][yi])
                         assert val == 0
 
     def test_trace_form_needs_realization(self):

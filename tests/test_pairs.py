@@ -23,8 +23,7 @@ from sympair.pairs import (
     make_quadratic_ext_pair,
     symmetrize,
 )
-from sympair.scalars import QuadExt
-from test_liealg import form_value
+from test_liealg import dense_table, form_value
 from test_linalg import zeros
 
 
@@ -49,6 +48,11 @@ def blocks(g: GroupElement):
     left = Matrix([r[:n] for r in g.matrix.rows[:n]])
     right = Matrix([r[n:] for r in g.matrix.rows[n:]])
     return left, right
+
+
+def quad_matrix(pair, plain, wpart):
+    """realize((A, B)): the rational matrix [[A, dB], [B, A]] of A + B w."""
+    return pair.algebra.realize(quad_vec(pair, plain, wpart))
 
 
 def diag_vec(pair, left, right):
@@ -146,10 +150,11 @@ class TestPairInvariantChecks:
         rng = random.Random(9)
         for pair in (make_diagonal_pair(2), make_quadratic_ext_pair(2, -1)):
             g = pair.algebra
+            table = dense_table(g)
             for _ in range(20):
                 z, x, y = (rng.randrange(g.dim) for _ in range(3))
-                val = form_value(pair.form, g.table[z][x], g.basis_vector(y)) + \
-                    form_value(pair.form, g.basis_vector(x), g.table[z][y])
+                val = form_value(pair.form, table[z][x], g.basis_vector(y)) + \
+                    form_value(pair.form, g.basis_vector(x), table[z][y])
                 assert val == 0
 
     def test_form_restricts_nondegenerately_to_both_eigenspaces(self):
@@ -236,12 +241,9 @@ class TestSymmetrization:
 
     def test_quad_ext_symmetrize(self):
         q = make_quadratic_ext_pair(2, -1)
-        w = QuadExt.of(0, 1, -1)
-        one = QuadExt.of(1, 0, -1)
-        zero = QuadExt.of(0, 0, -1)
-        g = GroupElement(q, Matrix([[one, w], [zero, one]]))
+        g = GroupElement(q, quad_matrix(q, [[1, 0], [0, 1]], [[0, 1], [0, 0]]))   # [[1, w], [0, 1]]
         s = symmetrize(q, g)
-        assert s.matrix == Matrix([[one, w + w], [zero, one]])
+        assert s.matrix == quad_matrix(q, [[1, 0], [0, 1]], [[0, 2], [0, 0]])   # [[1, 2w], [0, 1]]
 
     def test_normality(self):
         p = make_diagonal_pair(2)
@@ -398,24 +400,17 @@ class TestDescendants:
 
     def test_quadext_group_element_flags(self):
         q = make_quadratic_ext_pair(2, -1)
-        w = QuadExt.of(0, 1, -1)
-        one = QuadExt.of(1, 0, -1)
-        zero = QuadExt.of(0, 0, -1)
-        g = GroupElement(q, Matrix([[w, zero], [zero, one]]))
+        g = GroupElement(q, quad_matrix(q, [[0, 0], [0, 1]], [[1, 0], [0, 0]]))   # diag(w, 1)
         fl = jordan_flags(q, g)
         assert fl.semisimple and not fl.nilpotent and not fl.unipotent
 
     def test_group_descendant_quadratic_family(self):
         q = make_quadratic_ext_pair(2, -1)
-        two = QuadExt.of(2, 0, -1)
-        one = QuadExt.of(1, 0, -1)
-        zero = QuadExt.of(0, 0, -1)
-        g = GroupElement(q, Matrix([[two, zero], [zero, one]]))
+        g = GroupElement(q, quad_matrix(q, [[2, 0], [0, 1]], [[0, 0], [0, 0]]))
         assert is_normal(q, g)
         # s(g) = g conj(g)^{-1}... for a rational diagonal g, s(g) = identity
         # is too degenerate; use an element mixing w
-        w = QuadExt.of(0, 1, -1)
-        g2 = GroupElement(q, Matrix([[w, zero], [zero, one]]))
+        g2 = GroupElement(q, quad_matrix(q, [[0, 0], [0, 1]], [[1, 0], [0, 0]]))   # diag(w, 1)
         assert is_normal(q, g2)
         sub = descendant_at_group_element(q, g2)
         # s(g2) = diag(w * (-w)^{-1}, 1) = diag(... ) check the dims instead
@@ -432,19 +427,20 @@ def _random_invertible(rng, n):
 
 
 def _regular_representation(pair, g):
-    """A group element as a rational matrix: itself in the diagonal family,
-    and [[A, d B], [B, A]] for A + w B over Q(sqrt(d))."""
-    if pair.family == "diagonal":
-        return g.matrix
-    n, disc = pair.inner_n, pair.disc
+    """A group element as a rational matrix, rebuilt from its blocks: the two
+    GL_n components in the diagonal family, and [[A, d B], [B, A]] from the
+    first block column [A; B] of A + w B over Q(sqrt(d))."""
+    n = pair.inner_n
     rows = [[F(0)] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         for j in range(n):
-            e = g.matrix.rows[i][j]
-            a, b = (e.a, e.b) if isinstance(e, QuadExt) else (F(e), F(0))
-            rows[i][j] = rows[n + i][n + j] = a
-            rows[i][n + j] = disc * b
-            rows[n + i][j] = b
+            a, b = g.matrix.rows[i][j], g.matrix.rows[n + i][j]
+            if pair.family == "diagonal":
+                rows[i][j], rows[n + i][n + j] = a, g.matrix.rows[n + i][n + j]
+            else:
+                rows[i][j] = rows[n + i][n + j] = a
+                rows[i][n + j] = pair.disc * b
+                rows[n + i][j] = b
     return Matrix(rows)
 
 
@@ -472,8 +468,7 @@ def _random_group_element(pair, rng):
         plain = _random_block(rng, n)
         wpart = (zeros(n, n) if rng.random() < 0.5
                  else Matrix([[F(rng.randint(-1, 1)) for _ in range(n)] for _ in range(n)]))
-        m = Matrix([[QuadExt(a, b, pair.disc) for a, b in zip(pr, wr)]
-                    for pr, wr in zip(plain.rows, wpart.rows)])
+        m = quad_matrix(pair, plain.rows, wpart.rows)
         try:
             return GroupElement(pair, m)
         except ShapeError:  # not invertible over the extension
