@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from .criteria import audit_orbits
 from .errors import InputError, InvariantViolation, PreconditionError, ShapeError
@@ -44,8 +44,8 @@ from .weil import DiagonalQuadraticForm, Place, delta_factor, homogeneity_factor
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
+    argv = _attach_list_values(sys.argv[1:] if argv is None else argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.handler(args)
     except (InputError, PreconditionError, ShapeError) as exc:
@@ -81,43 +81,50 @@ def _attach_list_values(argv: List[str]) -> List[str]:
     return out
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The sympair parser: every subcommand with its help text, but only the
+    one named in argv (its first non-option word) with its arguments."""
     parser = argparse.ArgumentParser(
         prog="sympair",
         description="exact audits and local constants for symmetric pairs")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_audit = sub.add_parser("audit", help="sweep and audit all nilpotent orbits")
-    _add_pair_args(p_audit)
-    p_audit.add_argument("--out", help="write the JSON report here (default stdout)")
-    p_audit.set_defaults(handler=_cmd_audit)
-
-    p_triple = sub.add_parser("triple", help="adapted sl2 triple over a nilpotent element")
-    _add_pair_args(p_triple)
-    p_triple.add_argument("--element", required=True,
-                          help="comma-separated rational coordinates in the algebra basis")
-    p_triple.set_defaults(handler=_cmd_triple)
-
-    p_desc = sub.add_parser("descend", help="descendant pair at a semisimple element")
-    _add_pair_args(p_desc)
-    p_desc.add_argument("--element", required=True,
-                        help="comma-separated rational coordinates in the algebra basis")
-    p_desc.set_defaults(handler=_cmd_descend)
-
-    p_weil = sub.add_parser("weil", help="local constants of a diagonal quadratic form")
-    p_weil.add_argument("--place", required=True, help="real | complex | p:<prime>")
-    p_weil.add_argument("--form", required=True,
-                        help="comma-separated nonzero rational coefficients")
-    p_weil.add_argument("--t", default="1", help="scaling parameter (default 1)")
-    p_weil.set_defaults(handler=_cmd_weil)
-
-    p_infer = sub.add_parser("infer", help="close a fact set under the implication rules")
-    p_infer.add_argument("--facts", required=True,
-                         help="JSON file with {\"pair_id\": \"...\", \"atoms\": [...]}; "
-                              "pair_id is an optional string, printed as null when absent")
-    p_infer.add_argument("--out", help="write the closure here (default stdout)")
-    p_infer.set_defaults(handler=_cmd_infer)
+    command = next((a for a in argv if not a.startswith("-")), None)
+    for name, help_text, add_args, handler in (
+            ("audit", "sweep and audit all nilpotent orbits", _audit_args, _cmd_audit),
+            ("triple", "adapted sl2 triple over a nilpotent element", _element_args, _cmd_triple),
+            ("descend", "descendant pair at a semisimple element", _element_args, _cmd_descend),
+            ("weil", "local constants of a diagonal quadratic form", _weil_args, _cmd_weil),
+            ("infer", "close a fact set under the implication rules", _infer_args, _cmd_infer)):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        if name == command:
+            add_args(p)
     return parser
+
+
+def _audit_args(p: argparse.ArgumentParser):
+    _add_pair_args(p)
+    p.add_argument("--out", help="write the JSON report here (default stdout)")
+
+
+def _element_args(p: argparse.ArgumentParser):
+    _add_pair_args(p)
+    p.add_argument("--element", required=True,
+                   help="comma-separated rational coordinates in the algebra basis")
+
+
+def _weil_args(p: argparse.ArgumentParser):
+    p.add_argument("--place", required=True, help="real | complex | p:<prime>")
+    p.add_argument("--form", required=True,
+                   help="comma-separated nonzero rational coefficients")
+    p.add_argument("--t", default="1", help="scaling parameter (default 1)")
+
+
+def _infer_args(p: argparse.ArgumentParser):
+    p.add_argument("--facts", required=True,
+                   help="JSON file with {\"pair_id\": \"...\", \"atoms\": [...]}; "
+                        "pair_id is an optional string, printed as null when absent")
+    p.add_argument("--out", help="write the closure here (default stdout)")
 
 
 def _add_pair_args(p: argparse.ArgumentParser):

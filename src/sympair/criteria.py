@@ -46,7 +46,6 @@ from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, PreconditionError
-from .liealg import build_gl
 from .linalg import (
     Matrix,
     Vector,
@@ -57,11 +56,13 @@ from .linalg import (
     nonzeros,
     rank,
 )
-from .pairs import FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT, SymmetricPair
+from .pairs import (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT, SymmetricPair, lift_inner_triple,
+                    minus_one_vector)
 from .scalars import ONE, ZERO
 from .sl2 import (
     SL2Triple,
     eigenvector_weights,
+    inner_gl,
     restricted_ad,
     sl2_decompose,
     theta_adapt,
@@ -162,25 +163,11 @@ def _partition_of_n(pair: SymmetricPair, mu: Partition) -> Partition:
 @lru_cache(maxsize=None)
 def _canonical_rep(family: str, mu: Partition) -> tuple:
     """orbit_rep, built once per family and partition and shared by the sweep."""
-    return tuple(_minus_one_vector(family, _jordan_flat(mu)))
+    return tuple(minus_one_vector(family, _jordan_flat(mu)))
 
 
 def _flatten(m: Matrix) -> Vector:
     return [e for row in m.rows for e in row]
-
-
-def _plus_one_vector(family: str, inner: Vector) -> Vector:
-    """(X, X) in the diagonal family, the plain X in the quadratic extension."""
-    if family == FAMILY_DIAGONAL:
-        return inner + inner
-    return inner + [ZERO] * len(inner)
-
-
-def _minus_one_vector(family: str, inner: Vector) -> Vector:
-    """(X, -X) in the diagonal family, w*X in the quadratic extension."""
-    if family == FAMILY_DIAGONAL:
-        return inner + [-e if e else e for e in inner]
-    return [ZERO] * len(inner) + inner
 
 
 def standard_blocks(mu: Partition) -> Tuple[Matrix, Matrix]:
@@ -218,11 +205,8 @@ def standard_triple(pair: SymmetricPair, mu: Partition) -> SL2Triple:
         z = tuple(pair.algebra.zero_vector())
         return SL2Triple(e=z, h=z, f=z, theta_adapted=True, degenerate=True)
     hm, fm = standard_blocks(mu)
-    f = _flatten(fm)
-    if pair.family == FAMILY_QUADRATIC_EXT:
-        f = [e / pair.disc for e in f]
-    triple = SL2Triple(e=x, h=tuple(_plus_one_vector(pair.family, _flatten(hm))),
-                       f=tuple(_minus_one_vector(pair.family, f)), theta_adapted=True)
+    h, f = lift_inner_triple(pair, _flatten(hm), _flatten(fm))
+    triple = SL2Triple(e=x, h=tuple(h), f=tuple(f), theta_adapted=True)
     verify_triple(pair.algebra, triple)
     if not pair.in_h(list(triple.h)):
         raise InvariantViolation("closed-form h is not theta-fixed")
@@ -278,14 +262,9 @@ def diagonal_trace_identity(n: int, mu: Partition) -> TraceIdentity:
 
 
 @lru_cache(maxsize=None)
-def _gl(n: int):
-    return build_gl(n)
-
-
-@lru_cache(maxsize=None)
 def _inner_weights_from_spectrum(n: int, mu: Partition) -> Tuple[int, ...]:
     """Weights of gl_n under the standard J_mu triple, counted from its ad h weights."""
-    g = _gl(n)
+    g = inner_gl(n)
     hm, fm = standard_blocks(mu)
     triple = SL2Triple(e=tuple(_jordan_flat(mu)), h=tuple(_flatten(hm)),
                        f=tuple(_flatten(fm)))

@@ -21,9 +21,11 @@ from .linalg import (
     Matrix,
     SparseVector,
     Vector,
+    integer_scaled,
     is_zero_vector,
     kernel_basis,
     nonzeros,
+    rationals,
 )
 from .scalars import ONE, ZERO, is_square_free_non_square, rat
 
@@ -49,6 +51,7 @@ class LieAlgebra:
         self.realization = realization
         self.conjugation = conjugation
         self._realization_nz: Optional[List[Dict[Tuple[int, int], Fraction]]] = None
+        self._int_structure = None
         self._killing: Optional[Matrix] = None
         self._trace_form: Optional[Matrix] = None
         if realization is not None:
@@ -128,18 +131,27 @@ class LieAlgebra:
         return {k: v for k, v in out.items() if v}
 
     def ad(self, x: Vector) -> Matrix:
-        """Matrix of y -> [x, y] in the algebra basis."""
+        """Matrix of y -> [x, y] in the algebra basis, accumulated over Z with
+        the structure constants scaled (once) by the lcm of their denominators."""
         if len(x) != self.dim:
             raise ShapeError("ad operand must have length %d" % self.dim)
-        cols = [[ZERO] * self.dim for _ in range(self.dim)]
-        for i, a in enumerate(x):
+        if self._int_structure is None:
+            ints, scale = integer_scaled([c for left in self._rows for row in left.values()
+                                          for _, c in row])
+            it = iter(ints)
+            self._int_structure = ([{j: tuple((k, next(it)) for k, _ in row)
+                                     for j, row in left.items()} for left in self._rows], scale)
+        rows, c_scale = self._int_structure
+        ints, x_scale = integer_scaled(x)
+        cols = [[0] * self.dim for _ in range(self.dim)]
+        for i, a in enumerate(ints):
             if not a:
                 continue
-            for j, row in self._rows[i].items():
+            for j, row in rows[i].items():
                 col = cols[j]
                 for k, c in row:
                     col[k] += a * c
-        return Matrix.from_columns(cols)
+        return Matrix.from_columns([rationals(col, x_scale * c_scale) for col in cols])
 
     def _realization_nonzeros(self) -> List[Dict[Tuple[int, int], Fraction]]:
         """Per basis element, the nonzero entries {(r, c): v} of its realization."""

@@ -5,16 +5,17 @@ Gauss-Jordan loop, it always pivots on the first row with a nonzero entry
 in the current column, and reduced row echelon form is canonical, so
 ranks, kernel bases, solutions, echelon bases and Krylov annihilators are
 reproducible across runs.  No floating point anywhere.  Entries are
-rationals (Fraction, or int); ``rref`` scales each row to integers by the
-lcm of its denominators, eliminates over Z, and builds Fractions once at
-the end.
+rationals (Fraction, or int), scaled to integers by the lcm of their
+denominators: ``rref`` eliminates over Z row by row, and the products
+(``@``, ``matvec``, ``LieAlgebra.ad``) accumulate ints over nonzeros and
+build one Fraction per nonzero output entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError, InvariantViolation, ShapeError
 from .scalars import MAX_DISCRIMINANT, ONE, ZERO
@@ -38,11 +39,11 @@ class Matrix:
     """Dense matrix over Q, immutable by convention.
 
     Rows are lists of rational entries.  Operations return new matrices;
-    nothing mutates after construction, so instances are safe to share
-    across threads.
+    nothing but the cached integer form is set after construction, so
+    instances are safe to share across threads.
     """
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("rows", "nrows", "ncols", "_ints")
 
     def __init__(self, rows: Sequence[Sequence]):
         rows = [list(r) for r in rows]
@@ -54,6 +55,7 @@ class Matrix:
         self.rows = rows
         self.nrows = len(rows)
         self.ncols = width
+        self._ints = None
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -105,30 +107,33 @@ class Matrix:
             raise ShapeError("matmul shape mismatch: %dx%d @ %dx%d"
                              % (self.nrows, self.ncols, other.nrows, other.ncols))
         width = other.ncols
-        b_nz = [[(k, b) for k, b in enumerate(row) if b] for row in other.rows]
+        a_rows, a_scale = self._integer_rows()
+        b_rows, b_scale = other._integer_rows()
+        b_nz = [[(k, b) for k, b in enumerate(row) if b] for row in b_rows]
         out = []
-        for row in self.rows:
-            acc = [ZERO] * width
+        for row in a_rows:
+            acc = [0] * width
             for j, a in enumerate(row):
                 if a:
                     for k, b in b_nz[j]:
                         acc[k] += a * b
-            out.append(acc)
+            out.append(rationals(acc, a_scale * b_scale))
         return Matrix(out)
 
     def matvec(self, v: Vector) -> Vector:
         if len(v) != self.ncols:
             raise ShapeError("matvec length mismatch")
-        v_nz = {j: c for j, c in enumerate(v) if c}
-        out = []
-        for row in self.rows:
-            acc = ZERO
-            for j, c in v_nz.items():
-                e = row[j]
-                if e:
-                    acc += e * c
-            out.append(acc)
-        return out
+        rows, scale = self._integer_rows()
+        ints, v_scale = integer_scaled(v)
+        v_nz = [(j, c) for j, c in enumerate(ints) if c]
+        return rationals([sum(row[j] * c for j, c in v_nz) for row in rows], scale * v_scale)
+
+    def _integer_rows(self) -> Tuple[List[List[int]], int]:
+        """(rows times the lcm of all denominators, that lcm), built on first use."""
+        if self._ints is None:
+            flat, scale = integer_scaled([e for row in self.rows for e in row])
+            self._ints = [flat[i:i + self.ncols] for i in range(0, len(flat), self.ncols)], scale
+        return self._ints
 
     def _check_same_shape(self, other: "Matrix"):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -154,7 +159,7 @@ def rref(mat: Matrix):
     Rationals are built once at the end, dividing each pivot row by its
     pivot; the rows past the rank are zero.
     """
-    rows = [_integer_row(r) for r in mat.rows]
+    rows = [integer_scaled(r)[0] for r in mat.rows]
     m, n = len(rows), len(rows[0])
     pivots = []
     r = 0
@@ -194,18 +199,20 @@ def rref(mat: Matrix):
     return Matrix(out), pivots
 
 
-def _integer_row(row: Sequence) -> List[int]:
-    """The row scaled to integers by the lcm of its denominators, read over nonzeros.
+def integer_scaled(entries: Sequence) -> Tuple[List[int], int]:
+    """(ints, scale): the rationals times the lcm of their denominators.  The
+    shared ZERO is skipped by identity; any other zero reads as 0 over 1."""
+    nz = [(j, e.as_integer_ratio()) for j, e in enumerate(entries) if e is not ZERO]
+    out = [0] * len(entries)
+    scale = lcm(*(q for _, (_, q) in nz))
+    for j, (p, q) in nz:
+        out[j] = p * (scale // q)
+    return out, scale
 
-    Most zero entries are the shared ZERO, which the identity test passes
-    over without a call to Fraction.__bool__.
-    """
-    nz = [(j, e) for j, e in enumerate(row) if e is not ZERO and e]
-    out = [0] * len(row)
-    scale = lcm(*(e.denominator for _, e in nz))
-    for j, e in nz:
-        out[j] = e.numerator * (scale // e.denominator)
-    return out
+
+def rationals(ints: Sequence[int], scale: int) -> Vector:
+    """ints / scale: one Fraction per nonzero, the shared ZERO elsewhere."""
+    return [Fraction(v, scale) if v else ZERO for v in ints]
 
 
 def _pivot_row(row: List[int], c: int) -> Vector:

@@ -178,6 +178,21 @@ class SymmetricPair:
 # Built-in families
 # ---------------------------------------------------------------------------
 
+def minus_one_vector(family: str, inner: Vector) -> Vector:
+    """(X, -X) in the diagonal family, w*X in the quadratic extension."""
+    if family == FAMILY_DIAGONAL:
+        return inner + [-e if e else e for e in inner]
+    return [ZERO] * len(inner) + inner
+
+
+def lift_inner_triple(pair: SymmetricPair, h: Vector, f: Vector) -> Tuple[Vector, Vector]:
+    """(h, f) in g from (H, F) in gl_n: (H, H) and (F, -F) in the diagonal
+    family, the plain H and w F / d in the quadratic extension."""
+    if pair.family == FAMILY_DIAGONAL:
+        return h + h, minus_one_vector(pair.family, f)
+    return h + [ZERO] * len(h), minus_one_vector(pair.family, [e / pair.disc for e in f])
+
+
 def make_diagonal_pair(n: int) -> SymmetricPair:
     """(gl_n + gl_n, swap): h is the diagonal, s = {(X, -X)}, B the trace form."""
     if n < 1:

@@ -7,13 +7,14 @@ with h in the image of ad x; then f from the stacked system [x, f] = h,
 scope, so an unsolvable system is a loud internal error, never a soft
 failure.
 
-For a symmetric pair the same two solves give an adapted triple: h is
-averaged with theta(h) into the +1 space, then f is solved against it and
-antisymmetrized into the -1 space.  By Morozov's lemma that solve succeeds
-exactly when the averaged h lies in the image of ad x.  The h of the
-adapted triple is the quantity every downstream criterion consumes; its
-restricted traces are independent of all the choices made here
-(re-checked by tests with randomized solves).
+For a symmetric pair they give an adapted triple: a built-in pair solves
+on gl_n over the inner X of x = (X, -X) or w X and lifts (Kostant-Rallis),
+the systems on g being block copies of these; a custom pair averages h
+into the +1 space, then solves for f (which by Morozov's lemma succeeds
+exactly when the averaged h lies in the image of ad x) and antisymmetrizes
+it.  The h of the adapted triple is the quantity every downstream
+criterion consumes; its restricted traces are independent of all the
+choices made here (re-checked by tests with randomized solves).
 
 Weights are counted, never given bases: by eigenvector buckets when h is
 diagonal, else by the rank probes of integer_spectrum.
@@ -24,10 +25,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, PreconditionError
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, build_gl
 from .linalg import (
     Matrix,
     SparseVector,
@@ -42,8 +44,12 @@ from .linalg import (
     solve,
     vec_scale,
 )
-from .pairs import SymmetricPair
+from .pairs import FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT, SymmetricPair, lift_inner_triple
 from .scalars import HALF, ONE, ZERO
+
+# gl_n, built once per n: the inner algebra of both built-in families
+inner_gl = lru_cache(maxsize=None)(build_gl)
+_NO_ADAPTED_F = "averaged h left the image of ad x: no f with [x, f] = h and [h, f] = -2f"
 
 
 @dataclass(frozen=True)
@@ -84,10 +90,8 @@ def jacobson_morozov(g: LieAlgebra, x: Vector, rng: Optional[random.Random] = No
         z = tuple(g.zero_vector())
         return SL2Triple(e=z, h=z, f=z, degenerate=True)
     adx, h = _complete_h(g, x, rng)
-    f = _solve_for_f(g, adx, h, rng)
-    if f is None:
-        raise InvariantViolation("lower triple element system is unsolvable "
-                                 "although h lies in the image of ad x")
+    f = _solve_for_f(g, adx, h, rng, "lower triple element system is unsolvable "
+                                     "although h lies in the image of ad x")
     triple = SL2Triple(e=tuple(x), h=tuple(h), f=tuple(f))
     verify_triple(g, triple)
     return triple
@@ -108,12 +112,14 @@ def _complete_h(g: LieAlgebra, x: Vector, rng: Optional[random.Random]) -> Tuple
     return adx, adx.matvec(u)
 
 
-def _solve_for_f(g: LieAlgebra, adx: Matrix, h: Vector,
-                 rng: Optional[random.Random]) -> Optional[Vector]:
-    """An f with [x, f] = h and [h, f] = -2f, or None if the system is inconsistent."""
+def _solve_for_f(g: LieAlgebra, adx: Matrix, h: Vector, rng: Optional[random.Random],
+                 failure: str) -> Vector:
+    """An f with [x, f] = h and [h, f] = -2f; InvariantViolation(failure) if there is none."""
     stacked = Matrix(adx.rows + shift_diagonal(g.ad(h), 2).rows)
     f = solve(stacked, list(h) + list(g.zero_vector()))
-    return None if f is None else _random_kernel_shift(f, stacked, rng)
+    if f is None:
+        raise InvariantViolation(failure)
+    return _random_kernel_shift(f, stacked, rng)
 
 
 def verify_triple(g: LieAlgebra, t: SL2Triple):
@@ -130,10 +136,12 @@ def verify_triple(g: LieAlgebra, t: SL2Triple):
 def theta_adapt(pair: SymmetricPair, x: Vector, rng: Optional[random.Random] = None) -> SL2Triple:
     """Triple over nilpotent x in the -1 space, adapted to the involution.
 
-    h is completed as in jacobson_morozov, averaged into the +1 space and
-    re-checked against [h, x] = 2x; then f is solved once (which fails
-    exactly when h left the image of ad x) and antisymmetrized into the -1
-    space.  Relations and eigenspace memberships are verified at the end.
+    A built-in pair solves on gl_n over the inner X of x = (X, -X) or w X
+    and lifts the result (lift_inner_triple).  A custom pair completes h as
+    in jacobson_morozov, averages it into the +1 space and re-checks
+    [h, x] = 2x; then f is solved once (which fails exactly when h left the
+    image of ad x) and antisymmetrized.  Relations and eigenspace
+    memberships are verified at the end, on the pair.
     """
     g = pair.algebra
     if not pair.in_gsigma(x):
@@ -141,16 +149,18 @@ def theta_adapt(pair: SymmetricPair, x: Vector, rng: Optional[random.Random] = N
     if is_zero_vector(x):
         z = tuple(g.zero_vector())
         return SL2Triple(e=z, h=z, f=z, theta_adapted=True, degenerate=True)
-    adx, h = _complete_h(g, x, rng)
-    s_sym = [(a + b) * HALF for a, b in zip(h, pair.theta_apply(h))]
-    if g.bracket(s_sym, x) != vec_scale(Fraction(2), x):
-        raise InvariantViolation("averaged h no longer satisfies [h, x] = 2x")
-    w = _solve_for_f(g, adx, s_sym, rng)
-    if w is None:
-        raise InvariantViolation("averaged h left the image of ad x: "
-                                 "no f with [x, f] = h and [h, f] = -2f")
-    f = [(a - b) * HALF for a, b in zip(w, pair.theta_apply(w))]
-    triple = SL2Triple(e=tuple(x), h=tuple(s_sym), f=tuple(f), theta_adapted=True)
+    if pair.family in (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT):
+        n2, gl = pair.inner_n ** 2, inner_gl(pair.inner_n)
+        adx, h = _complete_h(gl, x[:n2] if pair.family == FAMILY_DIAGONAL else x[n2:], rng)
+        h, f = lift_inner_triple(pair, h, _solve_for_f(gl, adx, h, rng, _NO_ADAPTED_F))
+    else:
+        adx, h = _complete_h(g, x, rng)
+        h = [(a + b) * HALF for a, b in zip(h, pair.theta_apply(h))]
+        if g.bracket(h, x) != vec_scale(Fraction(2), x):
+            raise InvariantViolation("averaged h no longer satisfies [h, x] = 2x")
+        w = _solve_for_f(g, adx, h, rng, _NO_ADAPTED_F)
+        f = [(a - b) * HALF for a, b in zip(w, pair.theta_apply(w))]
+    triple = SL2Triple(e=tuple(x), h=tuple(h), f=tuple(f), theta_adapted=True)
     verify_triple(g, triple)
     if not pair.in_h(list(triple.h)):
         raise InvariantViolation("adapted h is not theta-fixed")
