@@ -131,7 +131,12 @@ class LieAlgebra:
         return {k: v for k, v in out.items() if v}
 
     def ad(self, x: Vector) -> Matrix:
-        """Matrix of y -> [x, y] in the algebra basis, accumulated over Z with
+        """Matrix of y -> [x, y] in the algebra basis, from ad_columns."""
+        cols, scale = self.ad_columns(x)
+        return Matrix.from_columns([rationals(col, scale) for col in cols])
+
+    def ad_columns(self, x: Vector) -> Tuple[List[List[int]], int]:
+        """(cols, s): column j of ad x is cols[j] / s, accumulated over Z with
         the structure constants scaled (once) by the lcm of their denominators."""
         if len(x) != self.dim:
             raise ShapeError("ad operand must have length %d" % self.dim)
@@ -151,7 +156,7 @@ class LieAlgebra:
                 col = cols[j]
                 for k, c in row:
                     col[k] += a * c
-        return Matrix.from_columns([rationals(col, x_scale * c_scale) for col in cols])
+        return cols, x_scale * c_scale
 
     def _realization_nonzeros(self) -> List[Dict[Tuple[int, int], Fraction]]:
         """Per basis element, the nonzero entries {(r, c): v} of its realization."""

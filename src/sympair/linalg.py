@@ -6,9 +6,10 @@ in the current column, and reduced row echelon form is canonical, so
 ranks, kernel bases, solutions, echelon bases and Krylov annihilators are
 reproducible across runs.  No floating point anywhere.  Entries are
 rationals (Fraction, or int), scaled to integers by the lcm of their
-denominators: ``rref`` eliminates over Z row by row, and the products
-(``@``, ``matvec``, ``LieAlgebra.ad``) accumulate ints over nonzeros and
-build one Fraction per nonzero output entry.
+denominators: ``rref`` eliminates over Z row by row, the products (``@``,
+``matvec``, ``LieAlgebra.ad``) accumulate ints over nonzeros, and
+``restrict_action`` reads images in sparse RREF rows at their pivots with
+no solve; each builds one Fraction per nonzero output entry.
 """
 
 from __future__ import annotations
@@ -107,8 +108,8 @@ class Matrix:
             raise ShapeError("matmul shape mismatch: %dx%d @ %dx%d"
                              % (self.nrows, self.ncols, other.nrows, other.ncols))
         width = other.ncols
-        a_rows, a_scale = self._integer_rows()
-        b_rows, b_scale = other._integer_rows()
+        a_rows, a_scale = self.integer_rows()
+        b_rows, b_scale = other.integer_rows()
         b_nz = [[(k, b) for k, b in enumerate(row) if b] for row in b_rows]
         out = []
         for row in a_rows:
@@ -123,12 +124,12 @@ class Matrix:
     def matvec(self, v: Vector) -> Vector:
         if len(v) != self.ncols:
             raise ShapeError("matvec length mismatch")
-        rows, scale = self._integer_rows()
+        rows, scale = self.integer_rows()
         ints, v_scale = integer_scaled(v)
         v_nz = [(j, c) for j, c in enumerate(ints) if c]
         return rationals([sum(row[j] * c for j, c in v_nz) for row in rows], scale * v_scale)
 
-    def _integer_rows(self) -> Tuple[List[List[int]], int]:
+    def integer_rows(self) -> Tuple[List[List[int]], int]:
         """(rows times the lcm of all denominators, that lcm), built on first use."""
         if self._ints is None:
             flat, scale = integer_scaled([e for row in self.rows for e in row])
@@ -663,6 +664,51 @@ def echelon_reduce(rows: Sequence[SparseVector], v: SparseVector):
     rest = sparse_combination([(ONE, v.items())]
                               + [(-c, r.items()) for c, r in zip(coords, rows) if c])
     return coords, rest
+
+
+def restrict_action(rows: Sequence[SparseVector], actions: Iterable,
+                    modulo: Sequence[SparseVector] = ()) -> List[Optional[Vector]]:
+    """Coordinates of linear images of sparse RREF rows, read at their pivots over Z.
+
+    Each action (cols, s, start) maps rows[start:] by the columns cols[l] / s,
+    giving one entry per image, in order.  With the rows scaled to ints once
+    (row t is L at its pivot p_t and 0 at the other pivots), an image V / S
+    lies in the span iff L V = sum_t V[p_t] row_t, and its coordinates are
+    then V[p_t] / S; else its entry is None.  Modulo (RREF rows at whose
+    pivots the rows vanish) reduces V first.
+    """
+    (ints, scale), (mod, mod_scale) = _scaled_rows(rows), _scaled_rows(modulo)
+    support = set().union(*(row for _, row in ints))
+    out = []
+    for cols, s, start in actions:
+        nz = {l: [(k, c) for k, c in enumerate(cols[l]) if c] for l in support}
+        for _, row in ints[start:]:
+            v = _residual(_int_combination((b, nz[l]) for l, b in row.items()), mod, mod_scale)
+            out.append(None if _residual(v, ints, scale)
+                       else rationals([v.get(p, 0) for p, _ in ints], s * scale * mod_scale))
+    return out
+
+
+def _scaled_rows(rows: Sequence[SparseVector]) -> Tuple[List[Tuple[int, Dict[int, int]]], int]:
+    """(pivot, nonzeros over Z) per sparse row, all scaled by the lcm of their denominators."""
+    ints, scale = integer_scaled([a for r in rows for a in r.values()])
+    it = iter(ints)
+    return [(min(r), {k: next(it) for k in r}) for r in rows], scale
+
+
+def _residual(v: Dict[int, int], rows, scale: int) -> Dict[int, int]:
+    """scale * v - sum v[p] * row over the (p, row) pairs of _scaled_rows: zero at each p."""
+    return _int_combination([(scale, v.items())]
+                            + [(-v[p], row.items()) for p, row in rows if p in v])
+
+
+def _int_combination(terms: Iterable) -> Dict[int, int]:
+    """sparse_combination over the ints, where no Fraction may enter."""
+    acc: Dict[int, int] = {}
+    for c, row in terms:
+        for k, a in row:
+            acc[k] = acc.get(k, 0) + c * a
+    return {k: a for k, a in acc.items() if a}
 
 
 def sparse_combination(terms: Iterable) -> SparseVector:

@@ -17,6 +17,7 @@ Built-in families:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -40,6 +41,7 @@ from .linalg import (
     minimal_polynomial,
     nonzeros,
     rank,
+    restrict_action,
     shift_diagonal,
     solve_many,
     sparse_combination,
@@ -418,43 +420,36 @@ def subpair_on(pair: SymmetricPair, basis: Sequence[Vector]) -> SymmetricPair:
     """Restrict the pair to a theta-stable subalgebra given by a basis.
 
     Builds structure constants, the restricted involution, realization and
-    form on the new basis, then revalidates every pair invariant.  A
-    degenerate restricted form means the restriction argument failed and
-    is raised loudly.
+    form on the echelon basis, then revalidates every pair invariant.  A
+    bracket or theta image that restrict_action finds outside the span is
+    named; a degenerate restricted form means the restriction argument
+    failed.  Both are raised loudly.
     """
     basis = echelon_subspace(basis)
     k = len(basis)
     if k == 0:
         raise PreconditionError("cannot restrict to the zero subspace")
-    cols = Matrix.from_columns(list(basis))
-
     g = pair.algebra
-    targets = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            targets.append(g.bracket(basis[i], basis[j]))
-    theta_images = [pair.theta_apply(b) for b in basis]
-    sols = solve_many(cols, targets + theta_images)
-    if sols is None:
-        raise InvariantViolation("subspace is not closed under bracket or theta")
+    brackets = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    coords = restrict_action([nonzeros(b) for b in basis], itertools.chain(
+        (g.ad_columns(b) + (i + 1,) for i, b in enumerate(basis[:-1])),
+        [pair.theta.transpose().integer_rows() + (0,)]))
+    if None in coords:
+        t = coords.index(None)
+        what = ("closed under bracket: [b_%d, b_%d]" % brackets[t] if t < len(brackets)
+                else "theta-stable: theta b_%d" % (t - len(brackets)))
+        raise InvariantViolation("subspace is not %s of its echelon basis leaves it" % what)
     rows = {}
-    t = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            row = tuple((m, c) for m, c in enumerate(sols[t]) if c)
-            t += 1
-            if row:
-                rows[i, j] = row
-                rows[j, i] = tuple((m, -c) for m, c in row)
-    theta_cols = sols[t:]
-
-    realization = None
-    if g.realization is not None:
-        realization = [g.realize(b) for b in basis]
+    for (i, j), c in zip(brackets, coords):
+        row = tuple((m, a) for m, a in enumerate(c) if a)
+        if row:
+            rows[i, j] = row
+            rows[j, i] = tuple((m, -a) for m, a in row)
+    realization = None if g.realization is None else [g.realize(b) for b in basis]
     labels = ["z%d" % (i + 1) for i in range(k)]
     sub = LieAlgebra(labels, rows, realization=realization, validate="basic")
-    new_theta = Matrix.from_columns(theta_cols)
-    gram = Matrix(basis) @ pair.form @ cols
+    new_theta = Matrix.from_columns(coords[len(brackets):])
+    gram = Matrix(basis) @ pair.form @ Matrix.from_columns(basis)
     if rank(gram) != k:
         raise InvariantViolation("degenerate restriction: the invariant form "
                                  "collapses on the centralizer")

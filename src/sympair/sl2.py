@@ -34,12 +34,12 @@ from .linalg import (
     Matrix,
     SparseVector,
     Vector,
-    echelon_reduce,
     integer_spectrum,
     is_nilpotent_matrix,
     is_zero_vector,
     kernel_basis,
     nonzeros,
+    restrict_action,
     shift_diagonal,
     solve,
     vec_scale,
@@ -212,18 +212,13 @@ def restricted_ad(g: LieAlgebra, h: Vector, rows: Sequence[SparseVector],
                   modulo: Sequence[SparseVector] = ()) -> Matrix:
     """Matrix of ad h on span(rows), or on span(rows + modulo) / span(modulo).
 
-    Both are sparse RREF rows, and the rows vanish at the pivots of modulo.
-    Each [h, b] is reduced against modulo, and the coordinates of what is
-    left are read at the pivots of the rows and verified by reconstruction.
+    Both are sparse RREF rows, and the rows vanish at the pivots of modulo;
+    restrict_action reads each [h, b], taken over Z from ad_columns.
     """
-    h_nz = nonzeros(h)
-    cols = []
-    for b in rows:
-        coords, rest = echelon_reduce(rows, echelon_reduce(modulo, g.bracket_sparse(h_nz, b))[1])
-        if rest:
-            raise InvariantViolation("ad h does not preserve the span of the rows%s"
-                                     % (" modulo the given subspace" if modulo else ""))
-        cols.append(coords)
+    cols = restrict_action(rows, [g.ad_columns(h) + (0,)], modulo)
+    if None in cols:
+        raise InvariantViolation("ad h does not preserve the span of the rows%s"
+                                 % (" modulo the given subspace" if modulo else ""))
     return Matrix.from_columns(cols)
 
 

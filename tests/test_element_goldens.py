@@ -119,3 +119,15 @@ def test_element_report_matches_golden_digest(capsys, command, pair_args, vec, d
     assert main([command] + pair_args + ["--element", vec]) == 0
     report = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(report).hexdigest() == digest
+
+
+def test_split_quadext_descendant_report_matches_golden_digest(capsys):
+    """descend of quadratic_ext n = 2, d = 5 at w X with X = [[0, 5], [1, 0]]
+    (ROADMAP item 3: a descendant of diagonal type), recorded before
+    subpair_on moved to integer coordinates."""
+    args = ["descend", "--family", "quadratic_ext", "--n", "2", "--d", "5",
+            "--element", "0,0,0,0,0,5,1,0"]
+    assert main(args) == 0
+    report = capsys.readouterr().out.encode("utf-8")
+    assert (hashlib.sha256(report).hexdigest()
+            == "fcd359c927f551b31032300c54ee47ae4f006b2a990e84789b0a3d09eed28b59")

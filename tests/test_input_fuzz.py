@@ -5,19 +5,23 @@ pair spec, or a fact file), applies one mutation to it and runs cli.main in
 process on it: audit, triple and descend for a spec, infer for a fact
 file.  A mutation drops a key or item, retypes or re-nests a value, or
 inserts a new one; the values put in are huge ints, booleans, floats,
-strings, null and empty containers.  Whatever the document, the exit code
-is 0, 1 or 2 and stderr shows no traceback, no INTERNAL ERROR and no
-INVARIANT VIOLATED.
+strings, null and empty containers.  The element vectors of descend are
+fuzzed on their own, over the built-in pairs of diagonal n <= 3 and
+quadratic_ext n <= 2.  Whatever the input, the exit code is 0, 1 or 2 and
+stderr shows no traceback, no INTERNAL ERROR and no INVARIANT VIOLATED.
 """
 
 import contextlib
 import copy
 import io
 import json
+from datetime import timedelta
+from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sympair.cli import main
+from sympair.linalg import Matrix, inverse, rank
 
 
 def sl2_table():
@@ -184,3 +188,67 @@ def test_a_huge_decimal_exponent_is_refused_before_expansion(tmp_path):
                  ["weil", "--place", "real", "--form", "1,1E-1_0000000"]):
         code, err = run(argv)
         assert code == 2 and "exponent" in err, err
+
+
+# ---------------------------------------------------------------------------
+# descend element vectors
+# ---------------------------------------------------------------------------
+
+ELEMENT_PAIRS = ([("diagonal", n, None) for n in (1, 2, 3)]
+                 + [("quadratic_ext", n, d) for n in (1, 2) for d in (5, -1, 2)])
+SMALL = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+BIG = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 6))
+ENTRY = st.one_of(st.just(Fraction(0)), SMALL, BIG)
+
+
+@st.composite
+def inner_matrices(draw, n):
+    """An n x n rational X: g D g^-1 for D diagonal with repeats allowed, a
+    2 x 2 block [[0, a], [b, 0]] (split in quadratic_ext exactly when a b d
+    is a square), or arbitrary entries."""
+    kind = draw(st.sampled_from(["conjugate", "block", "arbitrary"]))
+    if kind == "arbitrary":
+        return [[draw(ENTRY) for _ in range(n)] for _ in range(n)]
+    if kind == "block" and n >= 2:
+        x = [[Fraction(0)] * n for _ in range(n)]
+        x[0][1], x[1][0] = draw(ENTRY), draw(ENTRY)
+        return x
+    pool = [draw(ENTRY) for _ in range(draw(st.integers(1, n)))]
+    d = Matrix([[draw(st.sampled_from(pool)) if i == j else Fraction(0) for j in range(n)]
+                for i in range(n)])
+    g = Matrix([[Fraction(draw(st.integers(-3, 3))) for _ in range(n)] for _ in range(n)])
+    assume(rank(g) == n)
+    return (g @ d @ inverse(g)).rows
+
+
+@st.composite
+def descend_elements(draw):
+    """(pair arguments, --element text): (X, -X) or w X, sometimes with a
+    plain part, one coordinate changed, one dropped or one junk token."""
+    family, n, d = draw(st.sampled_from(ELEMENT_PAIRS))
+    flat = [e for row in draw(inner_matrices(n)) for e in row]
+    if family == "diagonal":
+        vec = flat + [-e for e in flat]
+    else:
+        plain = [Fraction(0)] * len(flat)
+        if draw(st.integers(0, 4)) == 0:
+            plain = [draw(ENTRY) for _ in flat]
+        vec = plain + flat
+    tokens = [str(e) for e in vec]
+    edit = draw(st.sampled_from(["none", "none", "change", "drop", "junk"]))
+    at = draw(st.integers(0, len(tokens) - 1))
+    if edit == "change":
+        tokens[at] = str(draw(ENTRY))
+    elif edit == "drop":
+        del tokens[at]
+    elif edit == "junk":
+        tokens[at] = draw(st.sampled_from(["", "x", "1/0", "1e5", "2/3/4", "nan", " 1"]))
+    args = ["--family", family, "--n", str(n)] + ([] if d is None else ["--d", str(d)])
+    return args, ",".join(tokens)
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=10))
+@given(descend_elements())
+def test_descend_element_keeps_the_exit_code_contract(drawn):
+    args, element = drawn
+    assert_contract(*run(["descend"] + args + ["--element", element]))

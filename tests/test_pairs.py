@@ -336,6 +336,35 @@ class TestDescendants:
             lhs, rhs = descendant_dimension_identity(pair, x, sub)
             assert lhs == rhs
 
+    def test_quadext_descendant_of_roadmap_item_3_has_diagonal_type(self):
+        # X = [[0, 5], [1, 0]] squares to d = 5, so w X has eigenvalues +-5 and
+        # is split; its centralizer E[X] = E x E has dims (4, 2, 2), the
+        # diagonal-type pair over E rather than a smaller quadratic_ext pair
+        q = make_quadratic_ext_pair(2, 5)
+        x = quad_vec(q, [[0, 0], [0, 0]], [[0, 5], [1, 0]])
+        sub = descendant(q, x)
+        assert (sub.dim_g, sub.dim_h, sub.dim_gsigma) == (4, 2, 2)
+        assert descendant_dimension_identity(q, x, sub) == (2, 2)
+
+    def test_bracket_outside_the_span_is_named(self):
+        from sympair.errors import InvariantViolation
+        from sympair.pairs import subpair_on
+        p = make_diagonal_pair(2)
+        # span{(E12, E12), (E21, E21)} is theta-fixed, but [E12, E21] = E11 - E22
+        e12 = diag_vec(p, [[0, 1], [0, 0]], [[0, 1], [0, 0]])
+        e21 = diag_vec(p, [[0, 0], [1, 0]], [[0, 0], [1, 0]])
+        with pytest.raises(InvariantViolation,
+                           match=r"not closed under bracket: \[b_0, b_1\] of its echelon basis"):
+            subpair_on(p, [e21, e12])
+
+    def test_theta_image_outside_the_span_is_named(self):
+        from sympair.errors import InvariantViolation
+        from sympair.pairs import subpair_on
+        p = make_diagonal_pair(2)
+        # span{(E11, 0)} is abelian, but theta moves it to (0, E11)
+        with pytest.raises(InvariantViolation, match=r"not theta-stable: theta b_0 of its echelon"):
+            subpair_on(p, [diag_vec(p, [[1, 0], [0, 0]], [[0, 0], [0, 0]])])
+
     def test_rejects_nilpotent(self):
         p = make_diagonal_pair(2)
         with pytest.raises(PreconditionError):
