@@ -175,7 +175,9 @@ def test_restricted_ad_modulo_matches_the_fraction_route(drawn, data):
         want = reference_restricted_ad(g, h, rows, inner)
     except InvariantViolation:
         event("unstable")
-        with pytest.raises(InvariantViolation, match="modulo the given subspace"):
+        # an all-zero seed leaves inner empty, and the message then names no subspace
+        wording = "modulo the given subspace" if inner else "of the rows$"
+        with pytest.raises(InvariantViolation, match=wording):
             restricted_ad(g, h, rows, modulo=inner)
         return
     event("stable")
