@@ -5,7 +5,7 @@ Subcommands:
   audit    build a pair, sweep its nilpotent orbits, audit each, chain
            the results through the implication rules, emit a JSON report
   triple   adapted sl2 triple over a supplied nilpotent element
-  descend  descendant pair at a supplied split semisimple element
+  descend  descendant pair at a supplied semisimple element
   weil     local constants of a diagonal quadratic form at one place
   infer    closure of a fact file over the built-in implication rules
 

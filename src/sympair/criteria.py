@@ -35,11 +35,15 @@ need not be traceless on it.
 The Clebsch-Gordan route is an independent oracle: tensor products of
 Jordan blocks a, b contribute highest weights a+b-2, a+b-4, ..., |a-b|.
 As z_h(x) is a copy of the centralizer of J_mu in gl_n, their sum must
-equal that trace, else the sweep raises InvariantViolation.
+equal that trace.  And as s/[x, h] is a copy of gl_n/[J_mu, gl_n], spanned
+by the lowest weight vectors of those summands, the quotient spectrum must
+be the multiset of their negatives.  Either mismatch raises
+InvariantViolation.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -302,10 +306,11 @@ def speciality_audit(pair: SymmetricPair, x: Vector) -> OrbitAudit:
     The canonical representative of its own Jordan type gets the
     closed-form standard_triple, any other element theta_adapt.  For a
     built-in family the trace is trace_from_quotient, checked against the
-    Clebsch-Gordan sum, and both weight multisets are filled; a custom pair
-    takes centralizer_in and restricted_trace.  An InvariantViolation names
-    the partition (for a custom pair, the element) and the stage: triple,
-    weights, quotient or trace.
+    Clebsch-Gordan sum, the quotient spectrum is checked against the
+    negated Clebsch-Gordan weights, and both weight multisets are filled;
+    a custom pair takes centralizer_in and restricted_trace.  An
+    InvariantViolation names the partition (for a custom pair, the element)
+    and the stage: triple, weights, quotient or trace.
     """
     partition = None
     if pair.family in (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT):
@@ -335,6 +340,11 @@ def speciality_audit(pair: SymmetricPair, x: Vector) -> OrbitAudit:
             if trace != sum(w_part):
                 raise InvariantViolation("%s from the quotient spectrum differs from the "
                                          "Clebsch-Gordan sum %d" % (trace, sum(w_part)))
+            stage = "quotient"
+            lowest = Counter(-l for l in w_part)
+            if Counter(dict(quotient)) != lowest:
+                raise InvariantViolation("spectrum %s differs from the lowest Clebsch-Gordan "
+                                         "weights %s" % (quotient, sorted(lowest.items())))
     except InvariantViolation as exc:
         where = ("partition %s" % (partition,) if partition is not None
                  else "element [%s]" % ",".join(str(c) for c in x))

@@ -18,8 +18,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import InputError, InvariantViolation, ShapeError
-from .scalars import MAX_DISCRIMINANT, ONE, ZERO
+from .errors import InvariantViolation, ShapeError
+from .scalars import ONE, ZERO
 
 Vector = List
 # The nonzero coordinates {index: value} of a vector.
@@ -285,18 +285,14 @@ def solve_many(mat: Matrix, bs: Sequence[Vector]) -> Optional[List[Vector]]:
     if any(len(b) != mat.nrows for b in bs):
         raise ShapeError("rhs length mismatch")
     n = mat.ncols
-    k = len(bs)
     aug = Matrix([row + [b[i] for b in bs] for i, row in enumerate(mat.rows)])
     red, pivots = rref(aug)
+    # rows past the rank are zero, so an inconsistent rhs shows as a pivot
+    # at a column >= n
     if pivots and pivots[-1] >= n:
         return None
-    # Inconsistency can hide past the first rhs column: check residual rows.
-    npiv = len(pivots)
-    for i in range(npiv, red.nrows):
-        if any(red.rows[i][n + j] for j in range(k)):
-            return None
     outs = []
-    for j in range(k):
+    for j in range(len(bs)):
         x = [ZERO] * n
         for t, pc in enumerate(pivots):
             x[pc] = red.rows[t][n + j]
@@ -420,35 +416,9 @@ class Poly:
             return Poly([ZERO])
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def eval_scalar(self, x):
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def is_squarefree(self) -> bool:
         g = self.gcd(self.derivative())
         return g.degree() <= 0
-
-    def rational_roots(self) -> Optional[List[Fraction]]:
-        """All roots with multiplicity if the polynomial splits over Q, else None.
-
-        Repeated deflation by candidate roots from the rational root bound;
-        only valid for Fraction coefficients.  Candidates come by trial
-        division, so |a0 * an| (integer-scaled) above MAX_DISCRIMINANT is
-        refused with InputError instead of searched.
-        """
-        p = self.monic()
-        roots: List[Fraction] = []
-        while p.degree() > 0:
-            r = _find_rational_root(p)
-            if r is None:
-                return None
-            roots.append(r)
-            p, rem = p.divmod(Poly([-r, ONE]))
-            if not rem.is_zero():
-                raise InvariantViolation("deflation by a verified root left a remainder")
-        return roots
 
     def __repr__(self):
         terms = []
@@ -462,39 +432,6 @@ class Poly:
             else:
                 terms.append("%s*x^%d" % (c, i) if c != 1 else "x^%d" % i)
         return " + ".join(terms) if terms else "0"
-
-
-def _find_rational_root(p: Poly) -> Optional[Fraction]:
-    """One rational root of a monic Fraction polynomial, or None."""
-    denom_lcm = lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * denom_lcm) for c in p.coeffs]
-    if ints[0] == 0:
-        return ZERO
-    # monic p scaled by L: leading coeff L, constant ints[0]; roots are
-    # divisors of ints[0]/gcd over divisors of L.
-    a0 = abs(ints[0])
-    an = abs(ints[-1])
-    if a0 * an > MAX_DISCRIMINANT:
-        raise InputError("spectrum too large for the exact rational-root search: "
-                         "|a0 * an| = %d > %d" % (a0 * an, MAX_DISCRIMINANT))
-    for q in _divisors(an):
-        for pnum in _divisors(a0):
-            for cand in (Fraction(pnum, q), Fraction(-pnum, q)):
-                if p.eval_scalar(cand) == 0:
-                    return cand
-    return None
-
-
-def _divisors(n: int) -> List[int]:
-    out = []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            if f != n // f:
-                out.append(n // f)
-        f += 1
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

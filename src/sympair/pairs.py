@@ -38,7 +38,6 @@ from .linalg import (
     is_zero_vector,
     kernel_basis,
     kernel_in_span,
-    minimal_polynomial,
     nonzeros,
     rank,
     restrict_action,
@@ -374,9 +373,10 @@ def descendant(pair: SymmetricPair, x: Vector) -> SymmetricPair:
     """The sub-pair at a semisimple element of the -1 eigenspace.
 
     Returns (g_x, theta restricted) where g_x is the centralizer of x.
-    Requires x split semisimple: rejects irrational spectra, since the
-    orbit bookkeeping downstream has no certificates for non-split
-    classes.  For x = 0 this is the pair itself.
+    Requires x semisimple; its eigenvalues may lie in any extension of Q.
+    For semisimple x, g = g_x + [x, g] is B-orthogonal, so the form stays
+    non-degenerate on g_x, and subpair_on revalidates every invariant.
+    For x = 0 this is the pair itself.
     """
     if pair.algebra.realization is None:
         raise ShapeError("descendant requires a matrix realization")
@@ -384,9 +384,7 @@ def descendant(pair: SymmetricPair, x: Vector) -> SymmetricPair:
         raise PreconditionError("element is not in the -1 eigenspace")
     if is_zero_vector(x):
         return pair
-    return _split_semisimple_descendant(
-        pair, x, "element is not semisimple in the realization",
-        "non-split semisimple element: spectrum is irrational over Q")
+    return _semisimple_descendant(pair, x, "element is not semisimple in the realization")
 
 
 def descendant_at_group_element(pair: SymmetricPair, g: GroupElement) -> SymmetricPair:
@@ -398,21 +396,14 @@ def descendant_at_group_element(pair: SymmetricPair, g: GroupElement) -> Symmetr
     if not is_normal(pair, g):
         raise PreconditionError("group element is not normal: sigma(g)g != g sigma(g)")
     s = symmetrize(pair, g)
-    return _split_semisimple_descendant(
-        pair, group_to_algebra_vector(pair, s.matrix),
-        "symmetrization is not semisimple",
-        "non-split symmetrization: spectrum is irrational over Q")
+    return _semisimple_descendant(pair, group_to_algebra_vector(pair, s.matrix),
+                                  "symmetrization is not semisimple")
 
 
-def _split_semisimple_descendant(pair: SymmetricPair, v: Vector, not_semisimple: str,
-                                 not_split: str) -> SymmetricPair:
-    """Sub-pair on the centralizer of v once the minimal polynomial of v,
-    computed once, is square-free and splits over Q."""
-    m = minimal_polynomial(pair.algebra.realize(v))
-    if not m.is_squarefree():
+def _semisimple_descendant(pair: SymmetricPair, v: Vector, not_semisimple: str) -> SymmetricPair:
+    """Sub-pair on the centralizer of v once v is semisimple in the realization."""
+    if not is_semisimple_matrix(pair.algebra.realize(v)):
         raise PreconditionError(not_semisimple)
-    if m.rational_roots() is None:
-        raise PreconditionError(not_split)
     return subpair_on(pair, pair.algebra.centralizer([v]))
 
 

@@ -25,8 +25,8 @@ def rat(x) -> Fraction:
     return Fraction(x)
 
 
-# Largest |d| accepted, and largest |a0 * an| that linalg searches for
-# rational roots: trial division then takes at most 10^6 steps.
+# Largest |d| accepted: the square-free test then trial-divides at most
+# 10^6 times.
 MAX_DISCRIMINANT = 10 ** 12
 
 

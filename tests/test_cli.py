@@ -110,13 +110,23 @@ class TestDescend:
         assert run(capsys, "descend", "--family", "diagonal", "--n", "2",
                    "--element", "0,1,0,0,0,-1,0,0")[0] == 2
 
-    def test_huge_eigenvalues_refused_quickly(self, capsys):
+    def test_huge_eigenvalues_answered_quickly(self, capsys):
+        # minimal polynomial t^2 - 10^20, with a0 * an far above 10^12
         start = time.perf_counter()
-        code, out, err = run(capsys, "descend", "--family", "diagonal", "--n", "1",
-                             "--element", "10000000000,-10000000000")
+        doc = run_json(capsys, "descend", "--family", "diagonal", "--n", "1",
+                       "--element", "10000000000,-10000000000")
         assert time.perf_counter() - start < 1.0
-        assert code == 2 and out == ""
-        assert "rational-root search" in err
+        assert doc["descendant"]["dim_g"] == 2
+        assert doc["dimension_identity"]["holds"] is True
+
+    def test_999_digit_eigenvalues(self, capsys):
+        # x = (D, -D), D diagonal with three distinct 999-digit entries
+        d = [str(10 ** 998 + 7 * i) if i == j else "0" for i in range(3) for j in range(3)]
+        element = ",".join(d + [c if c == "0" else "-" + c for c in d])
+        doc = run_json(capsys, "descend", "--family", "diagonal", "--n", "3",
+                       "--element", element)
+        assert doc["descendant"]["dim_g"] == 6
+        assert doc["dimension_identity"]["holds"] is True
 
     def test_eigenvalues_up_to_six(self, capsys):
         # x = (D, -D), D = diag(1, ..., 6): the realization has eigenvalues +-1..+-6

@@ -5,9 +5,9 @@ pair spec, or a fact file), applies one mutation to it and runs cli.main in
 process on it: audit, triple and descend for a spec, infer for a fact
 file.  A mutation drops a key or item, retypes or re-nests a value, or
 inserts a new one; the values put in are huge ints, booleans, floats,
-strings, null and empty containers.  The element vectors of descend are
-fuzzed on their own, over the built-in pairs of diagonal n <= 3 and
-quadratic_ext n <= 2.  Whatever the input, the exit code is 0, 1 or 2 and
+strings, null and empty containers.  The element vectors of descend and
+triple are fuzzed on their own, over the built-in pairs of diagonal n <= 3
+and quadratic_ext n <= 2.  Whatever the input, the exit code is 0, 1 or 2 and
 stderr shows no traceback, no INTERNAL ERROR and no INVARIANT VIOLATED.
 """
 
@@ -21,6 +21,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
 from sympair.cli import main
+from sympair.criteria import partitions
 from sympair.linalg import Matrix, inverse, rank
 
 
@@ -154,14 +155,13 @@ def test_mutated_fact_file_keeps_the_exit_code_contract(tmp_path_factory, doc):
 
 def test_base_documents_run(tmp_path):
     """The unmutated documents are valid: each subcommand exits 0 on them,
-    except descend, which refuses the non-split element of quadratic_ext."""
+    descend included at the non-split element of quadratic_ext."""
     path = tmp_path / "doc.json"
     for family, (doc, nilpotent, semisimple) in SPECS.items():
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert run(["audit", "--spec", str(path)])[0] == (2 if family == "custom" else 0)
         assert run(["triple", "--spec", str(path), "--element", nilpotent])[0] == 0
-        want = 2 if family == "quadratic_ext" else 0
-        assert run(["descend", "--spec", str(path), "--element", semisimple])[0] == want
+        assert run(["descend", "--spec", str(path), "--element", semisimple])[0] == 0
     path.write_text(json.dumps(FACTS), encoding="utf-8")
     assert run(["infer", "--facts", str(path)])[0] == 0
 
@@ -191,7 +191,7 @@ def test_a_huge_decimal_exponent_is_refused_before_expansion(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# descend element vectors
+# descend and triple element vectors
 # ---------------------------------------------------------------------------
 
 ELEMENT_PAIRS = ([("diagonal", n, None) for n in (1, 2, 3)]
@@ -222,11 +222,28 @@ def inner_matrices(draw, n):
 
 
 @st.composite
-def descend_elements(draw):
-    """(pair arguments, --element text): (X, -X) or w X, sometimes with a
-    plain part, one coordinate changed, one dropped or one junk token."""
+def nilpotent_conjugates(draw, n):
+    """An n x n rational g J_mu g^-1 for a partition mu of n and any
+    invertible g with entries drawn like the element entries."""
+    mu = draw(st.sampled_from(partitions(n)))
+    j = [[Fraction(0)] * n for _ in range(n)]
+    at = 0
+    for size in mu:
+        for i in range(at, at + size - 1):
+            j[i][i + 1] = Fraction(1)
+        at += size
+    g = Matrix([[draw(ENTRY) for _ in range(n)] for _ in range(n)])
+    assume(rank(g) == n)
+    return (g @ Matrix(j) @ inverse(g)).rows
+
+
+@st.composite
+def pair_elements(draw, inner):
+    """(pair arguments, --element text): (X, -X) or w X for X drawn from
+    inner(n), sometimes with a plain part, one coordinate changed, one
+    dropped or one junk token."""
     family, n, d = draw(st.sampled_from(ELEMENT_PAIRS))
-    flat = [e for row in draw(inner_matrices(n)) for e in row]
+    flat = [e for row in draw(inner(n)) for e in row]
     if family == "diagonal":
         vec = flat + [-e for e in flat]
     else:
@@ -248,7 +265,14 @@ def descend_elements(draw):
 
 
 @settings(max_examples=300, deadline=timedelta(seconds=10))
-@given(descend_elements())
+@given(pair_elements(inner_matrices))
 def test_descend_element_keeps_the_exit_code_contract(drawn):
     args, element = drawn
     assert_contract(*run(["descend"] + args + ["--element", element]))
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=10))
+@given(pair_elements(nilpotent_conjugates))
+def test_triple_element_keeps_the_exit_code_contract(drawn):
+    args, element = drawn
+    assert_contract(*run(["triple"] + args + ["--element", element]))

@@ -248,15 +248,14 @@ def random_conjugate(pair, rng):
 def test_subpair_on_matches_the_fraction_route_on_descendants(key, seed):
     pair = PAIRS[key]
     x = random_conjugate(pair, random.Random(seed))
-    # the centralizer is what descendant restricts to; for quadratic_ext the
-    # spectrum of w X is irrational, so descendant itself would refuse it
+    # the centralizer is what descendant restricts to, in both families,
+    # whether or not the spectrum of x is rational
     basis = pair.algebra.centralizer([x])
     rows, theta = reference_subpair_data(pair, basis)
     sub = subpair_on(pair, basis)
     assert sub.algebra.sparse_rows() == rows
     assert sub.theta == theta
-    if pair.family == "diagonal":
-        assert pairs.descendant(pair, x).algebra.sparse_rows() == rows
+    assert pairs.descendant(pair, x).algebra.sparse_rows() == rows
 
 
 @settings(max_examples=40, deadline=None)

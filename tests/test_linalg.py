@@ -46,24 +46,6 @@ def eval_matrix(p: Poly, m: Matrix) -> Matrix:
     return acc
 
 
-def split_rational_spectrum(m: Matrix):
-    """Eigenvalues with multiplicity of a semisimple matrix split over Q, else None.
-
-    A split minimal polynomial with deficient eigenspaces contradicts
-    semisimplicity and is raised loudly.
-    """
-    roots = minimal_polynomial(m).rational_roots()
-    if roots is None:
-        return None
-    out = []
-    for r in sorted(set(roots)):
-        out.extend([r] * (m.nrows - rank(shift_diagonal(m, -r))))
-    if len(out) != m.nrows:
-        raise InvariantViolation(
-            "split minimal polynomial but defective eigenspaces: matrix is not semisimple")
-    return out
-
-
 class TestSolveAndKernel:
     def test_identity_solve(self):
         assert solve(Matrix.identity(3), [F(1), F(2), F(3)]) == [F(1), F(2), F(3)]
@@ -194,17 +176,6 @@ class TestIntegerSpectrum:
     def test_non_semisimple_raises(self):
         with pytest.raises(InvariantViolation):
             integer_spectrum(mat([[0, 1], [0, 0]]), 4)
-
-
-class TestSplitSpectrum:
-    def test_rational_split(self):
-        assert split_rational_spectrum(mat([[1, 0], [0, 2]])) == [F(1), F(2)]
-
-    def test_irrational_returns_none(self):
-        # rotation-like matrix: x^2 + 1
-        assert split_rational_spectrum(mat([[0, -1], [1, 0]])) is None
-        # x^2 - 2
-        assert split_rational_spectrum(mat([[0, 2], [1, 0]])) is None
 
 
 class TestQuadExtField:

@@ -1,9 +1,12 @@
 """Symmetric pairs: construction invariants, cones, symmetrization, descendants."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sympair.errors import PreconditionError, ShapeError
 from sympair.liealg import LieAlgebra, build_gl
@@ -370,15 +373,15 @@ class TestDescendants:
         with pytest.raises(PreconditionError):
             descendant(p, diag_vec(p, [[0, 1], [0, 0]], [[0, -1], [0, 0]]))
 
-    def test_rejects_non_split(self):
+    def test_builds_non_split(self):
         q = make_quadratic_ext_pair(2, -1)
-        # w * diag(1, -1) has realization eigenvalues +-w: irrational over Q
+        # w * diag(1, -1) has realization eigenvalues +-w, irrational over Q;
+        # its centralizer is the torus of GL_2(E), dims (4, 2, 2)
         x = quad_vec(q, [[0, 0], [0, 0]], [[1, 0], [0, -1]])
-        from sympair.pairs import jordan_flags as jf
-        assert jf(q, x).semisimple
-        with pytest.raises(PreconditionError) as err:
-            descendant(q, x)
-        assert "non-split" in str(err.value)
+        assert jordan_flags(q, x).semisimple
+        sub = descendant(q, x)
+        assert (sub.dim_g, sub.dim_h, sub.dim_gsigma) == (4, 2, 2)
+        assert descendant_dimension_identity(q, x, sub) == (2, 2)
 
     def test_rejects_outside_gsigma(self):
         p = make_diagonal_pair(2)
@@ -446,6 +449,71 @@ class TestDescendants:
         assert sub.dim_g in (4, 8)
         lhs = sub.dim_gsigma
         assert lhs == sub.dim_g - sub.dim_h
+
+
+# Companion matrices of irreducible polynomials over Q, none of them split
+COMPANIONS = {
+    "t^2 - 2": [[0, 2], [1, 0]],
+    "t^2 + 1": [[0, -1], [1, 0]],
+    "t^2 + t + 1": [[0, -1], [1, -1]],
+    "t^3 - 2": [[0, 0, 2], [1, 0, 0], [0, 1, 0]],
+}
+SEMISIMPLE_BLOCK = st.one_of(st.sampled_from(sorted(COMPANIONS)),
+                             st.sampled_from([F(-2), F(-1, 2), F(0), F(1), F(3)]))
+
+
+def _block_matrix(block):
+    return COMPANIONS[block] if isinstance(block, str) else [[block]]
+
+
+@lru_cache(maxsize=None)
+def _built_in_pair(family, n, d):
+    return make_diagonal_pair(n) if family == "diagonal" else make_quadratic_ext_pair(n, d)
+
+
+@st.composite
+def _unimodular(draw, n):
+    """L U with L, U unitriangular over Z: an integer matrix of determinant 1."""
+    entry = st.integers(-2, 2)
+    lower = Matrix([[F(1) if i == j else F(draw(entry)) if i > j else F(0)
+                     for j in range(n)] for i in range(n)])
+    upper = Matrix([[F(1) if i == j else F(draw(entry)) if i < j else F(0)
+                     for j in range(n)] for i in range(n)])
+    return lower @ upper
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([("diagonal", None)] + [("quadratic_ext", d) for d in (5, -1, 2)]),
+       st.lists(SEMISIMPLE_BLOCK, min_size=1, max_size=4), st.data())
+def test_semisimple_descendant_dims_follow_the_blocks(family_d, drawn_blocks, data):
+    """At x = (X, -X) or w X, X = g C g^-1 with C block-diagonal of companion
+    matrices and rational scalars, the centralizer of X in gl_n(Q) is the
+    product of gl_k(Q[t]/p) over the distinct blocks p repeated k times, so
+    the descendant has dims (2c, c, c), c = sum deg(p) k^2."""
+    family, d = family_d
+    blocks = list(drawn_blocks)
+    while sum(len(_block_matrix(b)) for b in blocks) > 4:
+        blocks.pop()
+    c = sum(len(_block_matrix(b)) * k * k for b, k in Counter(blocks).items())
+    n = sum(len(_block_matrix(b)) for b in blocks)
+    core = [[F(0)] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        m = _block_matrix(b)
+        for i, row in enumerate(m):
+            core[at + i][at:at + len(m)] = [F(e) for e in row]
+        at += len(m)
+    g = data.draw(_unimodular(n))
+    inner = (g @ Matrix(core) @ inverse(g)).rows
+    pair = _built_in_pair(family, n, d)
+    if family == "diagonal":
+        x = diag_vec(pair, inner, [[-e for e in row] for row in inner])
+    else:
+        x = quad_vec(pair, [[0] * n] * n, inner)
+    sub = descendant(pair, x)
+    assert (sub.dim_g, sub.dim_h, sub.dim_gsigma) == (2 * c, c, c)
+    lhs, rhs = descendant_dimension_identity(pair, x, sub)
+    assert lhs == rhs
 
 
 def _random_invertible(rng, n):

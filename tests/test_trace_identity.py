@@ -94,3 +94,21 @@ def test_shifted_spectrum_exits_3_naming_partition_and_stage(monkeypatch, capsys
     assert code == 3
     assert "INVARIANT VIOLATED: partition (3,): trace: " in err
     assert "differs from the Clebsch-Gordan sum 6" in err
+
+
+
+def test_moved_multiplicities_exit_3_naming_partition_and_stage(monkeypatch, capsys):
+    # for (3,) the quotient spectrum is {0: 1, -2: 1, -4: 1}; {-2: 3} keeps
+    # both the count and sum_k (k - 2) m_k = -12, so the trace still agrees
+    eigen_check = criteria.eigen_check
+
+    def moved(pair, x, triple):
+        spectrum = eigen_check(pair, x, triple)
+        return ((-2, 3),) if dict(spectrum) == {0: 1, -2: 1, -4: 1} else spectrum
+
+    monkeypatch.setattr(criteria, "eigen_check", moved)
+    code = main(["audit", "--family", "diagonal", "--n", "3"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "INVARIANT VIOLATED: partition (3,): quotient: " in err
+    assert "differs from the lowest Clebsch-Gordan weights" in err
