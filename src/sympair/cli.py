@@ -31,6 +31,7 @@ from .report import (
     audit_report,
     build_pair,
     check_rational_size,
+    derivation_chain,
     fmt,
     pair_summary,
     parse_pair_spec,
@@ -266,18 +267,13 @@ def _cmd_infer(args) -> int:
     if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
         raise InputError("atoms must be a list of strings")
     closure = close(sorted(set(atoms)))
-    derivations = {}
-    for atom in sorted(closure.derived()):
-        derivations[atom] = [
-            {"rule": s.rule, "premises": list(s.premises), "conclusion": s.conclusion}
-            for s in closure.chain(atom)
-        ]
     out_doc = {
         "schema": SCHEMA_VERSION,
         "pair_id": pair_id,
         "input_atoms": sorted(set(atoms)),
         "closure": sorted(closure.atoms),
-        "derivations": derivations,
+        "derivations": {atom: derivation_chain(closure, atom)
+                        for atom in sorted(closure.derived())},
     }
     _emit(render_json(out_doc), args.out)
     return 0

@@ -14,23 +14,22 @@ sweep is finite: one representative per partition, each audited for
     the Clebsch-Gordan prediction from the partition, and
     sum(l + 1) = n^2.
 
-For the closed-form triples the quotient is graded rather than modeled
-on a complement.  The adapted h lies in the +1 space, so ad h preserves
-h and s, and sl2 theory makes its weights integers.  As [h, x] = 2x, ad x
-maps the weight space h_k into s_{k+2}, so k has multiplicity
-dim s_k - rank(ad x : h_{k-2} -> s_k) in s/[x, h], and every rank is taken
-on one small per-weight block.  That grading is read off bases of ad h
-eigenvectors, which the closed-form triples give; for a theta_adapt
-triple the quotient is instead taken on normal forms modulo [x, h], which
-stay as small as the quotient itself.
+The quotient has one route for every pair and every triple.  In both
+built-in families h and s are copies of gl_n, through A -> (A, A),
+X -> (X, -X) or A -> A, X -> w X, so s/[x, h] with ad h is a copy of
+gl_n/[X, gl_n] with ad H (Kostant-Rallis), taken on the inner gl_n; a
+custom pair takes it on its own algebra.  [x, h] is echelonized once; the
+echelon basis rows of s at the other pivot columns span a complement of it,
+ad h acts on that complement modulo [x, h], and the spectrum is counted by
+the rank probes of integer_spectrum.
 
-The trace needs no centralizer solve.  With r_k the rank of ad x on h_k,
+The trace needs no centralizer solve.  ad h preserves h and s, and sl2
+theory makes its weights integers.  With r_k the rank of ad x : h_k -> s_{k+2},
 z_h(x) has dimension dim h_k - r_k at weight k, and m_k = dim s_k - r_{k-2};
 ad h is traceless on h and on s, both copies of the adjoint module of gl_n,
-so tr(ad h | z_h(x)) = 2 dim s + sum_k (k - 2) m_k on either quotient route
-(trace_from_quotient).  Only a custom pair takes centralizer_in and
-restricted_trace: its h need not be a copy of an adjoint module, and ad h
-need not be traceless on it.
+so tr(ad h | z_h(x)) = 2 dim s + sum_k (k - 2) m_k (trace_from_quotient).
+Only a custom pair takes centralizer_in and restricted_trace: its h need
+not be a copy of an adjoint module, and ad h need not be traceless on it.
 
 The Clebsch-Gordan route is an independent oracle: tensor products of
 Jordan blocks a, b contribute highest weights a+b-2, a+b-4, ..., |a-b|.
@@ -53,19 +52,17 @@ from .errors import InvariantViolation, PreconditionError
 from .linalg import (
     Matrix,
     Vector,
-    echelon_reduce,
     echelon_rows,
     integer_spectrum,
     is_zero_vector,
     nonzeros,
     rank,
 )
-from .pairs import (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT, SymmetricPair, lift_inner_triple,
-                    minus_one_vector)
+from .pairs import (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT, SymmetricPair, inner_vector,
+                    lift_inner_triple, minus_one_vector)
 from .scalars import ONE, ZERO
 from .sl2 import (
     SL2Triple,
-    eigenvector_weights,
     inner_gl,
     restricted_ad,
     sl2_decompose,
@@ -221,14 +218,10 @@ def standard_triple(pair: SymmetricPair, mu: Partition) -> SL2Triple:
 
 def inner_nilpotent_matrix(pair: SymmetricPair, x: Vector) -> Matrix:
     """The inner n x n nilpotent of a -1 eigenspace element of a built-in family."""
-    n = pair.inner_n
-    full = pair.algebra.realize(x)
-    if pair.family == FAMILY_DIAGONAL:
-        return Matrix([r[:n] for r in full.rows[:n]])
-    if pair.family == FAMILY_QUADRATIC_EXT:
-        # x = w*X realizes as [[0, d X], [X, 0]]; read X off the lower-left block.
-        return Matrix([r[:n] for r in full.rows[n:]])
-    raise PreconditionError("inner matrix only defined for built-in families")
+    if pair.family not in (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT):
+        raise PreconditionError("inner matrix only defined for built-in families")
+    n, flat = pair.inner_n, inner_vector(pair, x)
+    return Matrix([flat[i * n:(i + 1) * n] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -386,57 +379,33 @@ def restricted_trace(pair: SymmetricPair, h: Vector, subspace: Sequence[Vector])
 def eigen_check(pair: SymmetricPair, x: Vector, triple: SL2Triple) -> Tuple[Tuple[int, int], ...]:
     """Spectrum of ad(h) on the quotient s/[x, h] as (eigenvalue, multiplicity).
 
-    When the bases of h and s are ad h eigenvectors (the closed-form
-    triples), m_k = dim s_k - rank(ad x : h_{k-2} -> s_k), each image [x, v]
-    verified to lie in the span of s_{k+2} before its coordinates are read
-    at that basis's pivot columns; any other h (a theta_adapt triple) takes
-    _quotient_spectrum.  A non-integral weight raises; a positive one is
-    reported, not raised: that verdict is the caller's.
+    With x in s and h in h, theta makes [x, h] a subspace of s.  A built-in
+    pair takes it on the inner gl_n, where s and h are both the standard
+    basis and the quotient is gl_n/[X, gl_n] with ad H (Kostant-Rallis); a
+    custom pair takes it on its own algebra.  Every pivot of the echelon
+    rows of [x, h] is a pivot of the echelon basis of s, so the basis rows
+    at the other pivots span a complement that vanishes at those pivots,
+    and ad h acts on it modulo [x, h].  A non-integral weight raises; a
+    positive one is reported, not raised: that verdict is the caller's.
     """
-    g = pair.algebra
     h = list(triple.h)
-    s_spaces = eigenvector_weights(g, h, pair.gsigma_rows)
-    h_spaces = None if s_spaces is None else eigenvector_weights(g, h, pair.h_rows)
-    if h_spaces is None:
-        return _quotient_spectrum(pair, x, h)
+    if not pair.in_gsigma(x):
+        raise InvariantViolation("x is not in the -1 eigenspace")
+    if not pair.in_h(h):
+        raise InvariantViolation("h is not in the +1 eigenspace")
+    if pair.family in (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT):
+        g = inner_gl(pair.inner_n)
+        x, h = inner_vector(pair, x), inner_vector(pair, h, in_h=True)
+        h_rows = s_rows = [{i: ONE} for i in range(g.dim)]
+    else:
+        g, h_rows, s_rows = pair.algebra, pair.h_rows, pair.gsigma_rows
     x_nz = nonzeros(x)
-    image_rank = {}
-    for k, space in h_spaces.items():
-        target = s_spaces.get(k + 2, [])
-        rows = []
-        for v in space:
-            coords, rest = echelon_reduce(target, g.bracket_sparse(x_nz, v))
-            if rest:
-                raise InvariantViolation("[x, v] for v of weight %d in h left the "
-                                         "weight-%d space of the -1 eigenspace" % (k, k + 2))
-            if any(coords):
-                rows.append(coords)
-        image_rank[k + 2] = rank(Matrix(rows)) if rows else 0
-    mults = ((k, len(space) - image_rank.get(k, 0)) for k, space in s_spaces.items())
-    return tuple((k, m) for k, m in mults if m)
-
-
-def _quotient_spectrum(pair: SymmetricPair, x: Vector, h: Vector) -> Tuple[Tuple[int, int], ...]:
-    """Spectrum of ad(h) on s/[x, h] through normal forms modulo [x, h].
-
-    Reducing each basis vector of s against the RREF rows of [x, h] leaves
-    a vector that vanishes at their pivots; the RREF of those normal forms
-    spans a complement of [x, h] in s, as small as the quotient, and ad h
-    acts on it modulo [x, h].
-    """
-    g = pair.algebra
-    x_nz = nonzeros(x)
-    image = []
-    for b in pair.h_rows:
-        v = g.bracket_sparse(x_nz, b)
-        if echelon_reduce(pair.gsigma_rows, v)[1]:
-            raise InvariantViolation("[x, h] left the -1 eigenspace")
-        image.append(v)
-    image = echelon_rows(image, g.dim)
-    normal = echelon_rows([echelon_reduce(image, b)[1] for b in pair.gsigma_rows], g.dim)
-    if not normal:
+    image = echelon_rows([g.bracket_sparse(x_nz, b) for b in h_rows], g.dim)
+    pivots = {min(r) for r in image}
+    rest = [b for b in s_rows if min(b) not in pivots]
+    if not rest:
         return ()
-    quotient = restricted_ad(g, h, normal, modulo=image)
+    quotient = restricted_ad(g, h, rest, modulo=image)
     return tuple(integer_spectrum(quotient, 2 * g.dim).items())
 
 

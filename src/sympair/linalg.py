@@ -514,10 +514,11 @@ def integer_spectrum(mat: Matrix, bound: int) -> dict:
     """Multiplicity of each integer eigenvalue k, counted as n - rank(mat - k).
 
     The caller asserts the matrix acts semisimply with integer eigenvalues
-    in [-bound, bound].  Probes k = 0, 1, -1, 2, -2, ... and stops as soon
-    as the multiplicities account for the whole dimension; if the bound is
-    exhausted first, the asserted spectrum shape is wrong and that gets
-    raised, never papered over.
+    in [-bound, bound].  Probes k = 0, 1, -1, 2, -2, ..., taking first the
+    diagonal entries of a triangular matrix, which are its eigenvalues, and
+    stops as soon as the multiplicities account for the whole dimension; if
+    the bound is exhausted first, the asserted spectrum shape is wrong and
+    that gets raised, never papered over.
     """
     if not mat.is_square():
         raise ShapeError("spectrum of non-square matrix")
@@ -526,7 +527,11 @@ def integer_spectrum(mat: Matrix, bound: int) -> dict:
     n = mat.nrows
     found = {}
     total = 0
-    for k in _alternating_range(bound):
+    rows = mat.rows
+    triangular = (all(not rows[i][j] for i in range(n) for j in range(i))
+                  or all(not rows[j][i] for i in range(n) for j in range(i)))
+    diagonal = {rows[i][i] for i in range(n)} if triangular else ()
+    for k in sorted(range(-bound, bound + 1), key=lambda k: (k not in diagonal, abs(k), k < 0)):
         mult = n - rank(shift_diagonal(mat, -k) if k else mat)
         if mult:
             found[k] = mult
@@ -536,13 +541,6 @@ def integer_spectrum(mat: Matrix, bound: int) -> dict:
     raise InvariantViolation(
         "non-integral or out-of-range spectrum: weights %s account for %d of %d "
         "dimensions within |k| <= %d" % (sorted(found), total, n, bound))
-
-
-def _alternating_range(bound: int):
-    yield 0
-    for k in range(1, bound + 1):
-        yield k
-        yield -k
 
 
 # ---------------------------------------------------------------------------
@@ -587,20 +585,6 @@ def echelon_rows(rows: Sequence[SparseVector], dim: int) -> List[SparseVector]:
         return list(rows)
     return [nonzeros(v) for v in echelon_subspace([[r.get(i, ZERO) for i in range(dim)]
                                                   for r in rows])]
-
-
-def echelon_reduce(rows: Sequence[SparseVector], v: SparseVector):
-    """(coords, remainder) of v against sparse RREF rows.
-
-    Each RREF row is 1 at its own pivot column and 0 at every other row's,
-    so the coordinates are the entries of v there, and the remainder v minus
-    their combination vanishes at every pivot.  It is empty exactly when v
-    lies in the span, which is checked without any elimination.
-    """
-    coords = [v.get(min(r), ZERO) for r in rows]
-    rest = sparse_combination([(ONE, v.items())]
-                              + [(-c, r.items()) for c, r in zip(coords, rows) if c])
-    return coords, rest
 
 
 def restrict_action(rows: Sequence[SparseVector], actions: Iterable,

@@ -186,6 +186,13 @@ def minus_one_vector(family: str, inner: Vector) -> Vector:
     return [ZERO] * len(inner) + inner
 
 
+def inner_vector(pair: SymmetricPair, v: Vector, in_h: bool = False) -> Vector:
+    """The inner gl_n coordinates of v in s, or in h when in_h: X of (X, -X)
+    or w X, and A of (A, A) or the plain A.  v must lie in that eigenspace."""
+    n2 = pair.inner_n ** 2
+    return list(v[n2:] if pair.family == FAMILY_QUADRATIC_EXT and not in_h else v[:n2])
+
+
 def lift_inner_triple(pair: SymmetricPair, h: Vector, f: Vector) -> Tuple[Vector, Vector]:
     """(h, f) in g from (H, F) in gl_n: (H, H) and (F, -F) in the diagonal
     family, the plain H and w F / d in the quadratic extension."""

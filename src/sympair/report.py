@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence
 from . import __version__
 from .criteria import OrbitAudit, audit_orbits
 from .errors import InputError, ShapeError
-from .inference import audit_to_facts, close
+from .inference import Closure, audit_to_facts, close
 from .liealg import LieAlgebra
 from .linalg import Matrix, Vector
 from .pairs import (
@@ -252,6 +252,12 @@ def orbit_passes(a: OrbitAudit) -> bool:
     return ok
 
 
+def derivation_chain(closure: Closure, atom: str) -> List[dict]:
+    """The steps that derive atom in the closure, as rule, premises and conclusion."""
+    return [{"rule": s.rule, "premises": list(s.premises), "conclusion": s.conclusion}
+            for s in closure.chain(atom)]
+
+
 def audit_report(pair: SymmetricPair, audits: Optional[List[OrbitAudit]] = None) -> dict:
     """Full audit document: orbit table, asserted atoms, derived closure."""
     if audits is None:
@@ -261,13 +267,6 @@ def audit_report(pair: SymmetricPair, audits: Optional[List[OrbitAudit]] = None)
         for assertion in audit_to_facts(pair, audits, scope="all_descendants").assertions:
             facts.assertions.append(assertion)
     closure = close(sorted(facts.atoms()))
-    derived_rows = []
-    for atom in sorted(closure.derived()):
-        derived_rows.append({
-            "atom": atom,
-            "chain": [{"rule": s.rule, "premises": list(s.premises),
-                       "conclusion": s.conclusion} for s in closure.chain(atom)],
-        })
     return {
         "schema": SCHEMA_VERSION,
         "tool": {"name": "sympair", "version": __version__},
@@ -278,7 +277,8 @@ def audit_report(pair: SymmetricPair, audits: Optional[List[OrbitAudit]] = None)
                 {"atom": a.atom, "source": a.source, "note": a.note}
                 for a in facts.assertions
             ],
-            "derived": derived_rows,
+            "derived": [{"atom": atom, "chain": derivation_chain(closure, atom)}
+                        for atom in sorted(closure.derived())],
         },
         "all_pass": all(orbit_passes(a) for a in audits),
     }

@@ -44,7 +44,8 @@ from .linalg import (
     solve,
     vec_scale,
 )
-from .pairs import FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT, SymmetricPair, lift_inner_triple
+from .pairs import (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT, SymmetricPair, inner_vector,
+                    lift_inner_triple)
 from .scalars import HALF, ONE, ZERO
 
 # gl_n, built once per n: the inner algebra of both built-in families
@@ -150,8 +151,8 @@ def theta_adapt(pair: SymmetricPair, x: Vector, rng: Optional[random.Random] = N
         z = tuple(g.zero_vector())
         return SL2Triple(e=z, h=z, f=z, theta_adapted=True, degenerate=True)
     if pair.family in (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT):
-        n2, gl = pair.inner_n ** 2, inner_gl(pair.inner_n)
-        adx, h = _complete_h(gl, x[:n2] if pair.family == FAMILY_DIAGONAL else x[n2:], rng)
+        gl = inner_gl(pair.inner_n)
+        adx, h = _complete_h(gl, inner_vector(pair, x), rng)
         h, f = lift_inner_triple(pair, h, _solve_for_f(gl, adx, h, rng, _NO_ADAPTED_F))
     else:
         adx, h = _complete_h(g, x, rng)

@@ -1,11 +1,12 @@
-"""The graded orbit route (graded eigen_check, pivot-read restricted_trace,
-counted sl2_decompose) against the complement, solve and rank-probe
-implementations it replaced, which are kept here as the reference.
+"""The orbit route (eigen_check on a complement of [x, h], pivot-read
+restricted_trace, counted sl2_decompose) against the complement, solve and
+rank-probe implementations it replaced, which are kept here as the
+reference.
 
-Spectra are counted, never given bases: by eigenvector_weights buckets
-when the basis is made of ad h eigenvectors, else by the rank probes of
-integer_spectrum.  Only a custom pair takes centralizer_in and
-restricted_trace for its trace; the last test shows why.
+Spectra are counted, never given bases: the quotient spectrum by the rank
+probes of integer_spectrum, the gl_n weights by eigenvector_weights
+buckets.  Only a custom pair takes centralizer_in and restricted_trace for
+its trace; the last test shows why.
 """
 
 import dataclasses
@@ -91,7 +92,7 @@ def reference_weights(g, triple):
 
 
 # ---------------------------------------------------------------------------
-# Random conjugates, which take theta_adapt and the slow path
+# Random conjugates, which take theta_adapt
 # ---------------------------------------------------------------------------
 
 PAIRS = {("diagonal", n, None): make_diagonal_pair(n) for n in range(1, 6)}
@@ -161,19 +162,20 @@ def test_conjugates_take_the_quotient_route(monkeypatch):
     t = theta_adapt(pair, x)
     got = eigen_check(pair, x, t)
     assert got == reference_eigen_check(pair, x, t)
-    # h and s are not graded; only the quotient, of dimension sum(m_k), is probed
+    # only the quotient, of dimension sum(m_k), is probed
     assert weight_calls == []
     assert quotient_sizes == [sum(m for _, m in got)]
-    # the canonical representative's closed-form triple is graded directly
+    # the canonical representatives take the same route: one quotient per orbit
     quotient_sizes.clear()
-    audit_orbits(pair)
-    assert weight_calls == [] and quotient_sizes == []
+    audits = audit_orbits(pair)
+    assert weight_calls == []
+    assert quotient_sizes == [sum(m for _, m in a.quotient_eigenvalues) for a in audits]
 
 
 @pytest.mark.parametrize("mu", [(5,), (3, 2), (2, 2, 1)])
 def test_eigen_check_elimination_work_on_both_routes(monkeypatch, mu):
-    """Both sides of the graded/quotient choice, measured in rref cells
-    against the complement route they replaced."""
+    """Canonical representatives and conjugates, measured in rref cells
+    against the complement route on the whole algebra."""
     import sympair.linalg as linalg
 
     cells = []
@@ -192,15 +194,13 @@ def test_eigen_check_elimination_work_on_both_routes(monkeypatch, mu):
     pair = make_diagonal_pair(5)
     conjugate = conjugate_of(pair, mu)
     rep = criteria.orbit_rep(pair, mu)
-    for x, t, graded in ((conjugate, theta_adapt(pair, conjugate), False),
-                         (rep, criteria.standard_triple(pair, mu), True)):
+    for x, t in ((conjugate, theta_adapt(pair, conjugate)),
+                 (rep, criteria.standard_triple(pair, mu))):
         got, ours = work(eigen_check, pair, x, t)
         want, reference = work(reference_eigen_check, pair, x, t)
         assert got == want
-        assert ours <= reference
-        if graded:
-            # per-weight blocks only: a small share of the complement route's work
-            assert 10 * ours <= reference
+        # on the inner gl_n: at most half the complement route's work
+        assert 2 * ours <= reference
 
 
 @pytest.mark.parametrize("key", [("diagonal", n, None) for n in range(1, 6)]
@@ -233,7 +233,7 @@ def test_integer_spectrum_matches_reference():
 
 
 # ---------------------------------------------------------------------------
-# Weights on small cases, and every way the graded route refuses
+# Weights on small cases, and every way the route refuses
 # ---------------------------------------------------------------------------
 
 def gl2_h():
@@ -269,14 +269,15 @@ def test_non_integral_weight_is_named():
         sl2_decompose(build_gl(2), gl2_triple(third))
 
 
-def test_image_outside_the_target_weight_space_names_k():
+def test_positive_weight_is_reported_not_raised():
     # the triple of J_2 with x replaced by (E21, -E21), which has weight -2:
-    # [x, v] for v of weight 0 in h lands in s_{-2}, not s_2
+    # on gl_2, [X, gl_2] is spanned by E21 and E11 - E22, and E12 and E22
+    # span a complement, of weights 2 and 0
     pair = make_diagonal_pair(2)
     t = criteria.standard_triple(pair, (2,))
     x = [F(0), F(0), F(1), F(0), F(0), F(0), F(-1), F(0)]
-    with pytest.raises(InvariantViolation, match=r"v of weight 0 in h left the weight-2 space"):
-        eigen_check(pair, x, t)
+    assert eigen_check(pair, x, t) == ((0, 1), (2, 1))
+    assert eigen_check(pair, x, t) == reference_eigen_check(pair, x, t)
 
 
 def test_unstable_subspace_trace_raises():
@@ -297,7 +298,7 @@ def test_sweep_names_the_partition(monkeypatch):
 
     monkeypatch.setattr(criteria, "standard_triple", third_h)
     pair = make_diagonal_pair(2)
-    with pytest.raises(InvariantViolation, match=r"partition \(2,\): quotient: non-integral weight 2/3"):
+    with pytest.raises(InvariantViolation, match=r"partition \(2,\): quotient: non-integral"):
         audit_orbits(pair)
     x = criteria.orbit_rep(pair, (2,))
     with pytest.raises(InvariantViolation, match=r"^partition \(2,\)"):
@@ -324,7 +325,7 @@ def test_quotient_route_refuses_an_image_outside_s():
     pair = make_diagonal_pair(2)
     t = theta_adapt(pair, conjugate_of(pair, (2,)))
     x = [F(0), F(1), F(0), F(0), F(0), F(1), F(0), F(0)]
-    with pytest.raises(InvariantViolation, match=r"\[x, h\] left the -1 eigenspace"):
+    with pytest.raises(InvariantViolation, match=r"^x is not in the -1 eigenspace"):
         eigen_check(pair, x, t)
 
 
@@ -334,7 +335,7 @@ def test_quotient_route_refuses_an_h_that_leaves_s():
     x = criteria.orbit_rep(pair, (2,))
     h = (F(0), F(0), F(1), F(0), F(0), F(0), F(0), F(0))
     t = dataclasses.replace(criteria.standard_triple(pair, (2,)), h=h)
-    with pytest.raises(InvariantViolation, match="does not preserve the span of the rows modulo"):
+    with pytest.raises(InvariantViolation, match=r"^h is not in the \+1 eigenspace"):
         eigen_check(pair, x, t)
 
 

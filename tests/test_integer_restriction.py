@@ -21,13 +21,13 @@ from sympair.errors import InvariantViolation, ShapeError
 from sympair.liealg import build_gl
 from sympair.linalg import (
     Matrix,
-    echelon_reduce,
     echelon_rows,
     echelon_subspace,
     inverse,
     nonzeros,
     restrict_action,
     solve_many,
+    sparse_combination,
 )
 from sympair.pairs import make_diagonal_pair, make_quadratic_ext_pair, subpair_on
 from sympair.sl2 import restricted_ad
@@ -40,6 +40,20 @@ PAIRS.update({("quadratic_ext", n, d): make_quadratic_ext_pair(n, d)
 # ---------------------------------------------------------------------------
 # The replaced Fraction route
 # ---------------------------------------------------------------------------
+
+def echelon_reduce(rows, v):
+    """(coords, remainder) of v against sparse RREF rows.
+
+    Each RREF row is 1 at its own pivot column and 0 at every other row's,
+    so the coordinates are the entries of v there, and the remainder v minus
+    their combination vanishes at every pivot.  It is empty exactly when v
+    lies in the span, which is checked without any elimination.
+    """
+    coords = [v.get(min(r), F(0)) for r in rows]
+    rest = sparse_combination([(F(1), v.items())]
+                              + [(-c, r.items()) for c, r in zip(coords, rows) if c])
+    return coords, rest
+
 
 def reference_restricted_ad(g, h, rows, modulo=()):
     """Each [h, b] by bracket_sparse, reduced against modulo, read at the pivots of the rows."""
@@ -167,7 +181,7 @@ def test_restricted_ad_modulo_matches_the_fraction_route(drawn, data):
                             + extra)
     else:
         outer = echelon_rows(inner + [nonzeros(v) for v in extra], g.dim)
-    # normal forms of the outer span modulo the inner one, as _quotient_spectrum takes them
+    # normal forms of the outer span modulo the inner one, which vanish at its pivots
     rows = echelon_rows([echelon_reduce(inner, b)[1] for b in outer], g.dim)
     if not rows:
         return
@@ -311,7 +325,7 @@ def test_restricted_trace_brackets_and_solves_nothing_in_fractions(monkeypatch):
     assert criteria.restricted_trace(pair, h, hx) == sum(criteria.clebsch_gordan_weights((2, 1)))
 
 
-def test_audit_never_restricts_an_action(monkeypatch):
+def test_audit_restricts_once_per_partition_on_gl_n(monkeypatch):
     calls = []
 
     def spy(*args, **kwargs):
@@ -322,8 +336,12 @@ def test_audit_never_restricts_an_action(monkeypatch):
         monkeypatch.setattr(module, "restrict_action", spy)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["audit", "--family", "diagonal", "--n", "4"]) == 0
-    assert calls == []
+    # one quotient per partition of 4, every row inside gl_4's 16 coordinates
+    assert len(calls) == len(criteria.partitions(4)) == 5
+    assert all(max(row) < 16 for rows, *_ in calls for row in rows)
+    assert all(max(row) < 16 for _, _, modulo in calls for row in modulo)
     # the spy is live: a direct restricted_trace call does go through it
+    calls.clear()
     pair = make_diagonal_pair(2)
     criteria.restricted_trace(pair, pair.algebra.zero_vector(), pair.h_basis)
     assert len(calls) == 1

@@ -258,7 +258,7 @@ def incremental_annihilator(mat, v):
 def complete_basis(base, ambient):
     """Ambient vectors that extend the independent base to a basis of span(ambient):
     the pivot columns of rref(base | ambient).  This was criteria._complete_basis;
-    it stays here as the quotient-complement reference for the graded eigen_check."""
+    it stays here as the quotient-complement reference for eigen_check."""
     if not ambient:
         return []
     k = len(base)

@@ -1,9 +1,12 @@
-"""Built-in pairs solve their adapted triples on gl_n and lift them.
+"""Built-in pairs solve their adapted triples on gl_n and lift them, and
+take their quotients s/[x, h] on gl_n.
 
 The reference is the route on the whole algebra: the same algebra, theta
 and form rebuilt as a custom pair, which averages h and antisymmetrizes f
 on all 2n^2 coordinates.  Both routes take the canonical solution (free
-coordinates zero), so they must return the same triple exactly.
+coordinates zero), so they must return the same triple exactly; and they
+must find the same quotient spectrum, on canonical representatives and on
+random conjugates.
 """
 
 import random
@@ -12,8 +15,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sympair import criteria
 from sympair.cli import main
-from sympair.criteria import partitions
+from sympair.criteria import audit_orbits, eigen_check, orbit_rep, partitions, standard_triple
 from sympair.errors import PreconditionError
 from sympair.liealg import LieAlgebra
 from sympair.linalg import Matrix, inverse
@@ -23,6 +27,8 @@ from sympair.sl2 import inner_gl, theta_adapt, verify_triple
 PAIRS = {("diagonal", n, None): make_diagonal_pair(n) for n in range(2, 5)}
 PAIRS.update({("quadratic_ext", n, d): make_quadratic_ext_pair(n, d)
               for n in range(2, 5) for d in (5, -1, 2)})
+CANONICAL = {("diagonal", 1, None): make_diagonal_pair(1), **PAIRS}
+CANONICAL.update({("quadratic_ext", 1, d): make_quadratic_ext_pair(1, d) for d in (5, -1, 2)})
 WHOLE = {}
 
 
@@ -151,3 +157,40 @@ def test_built_in_pairs_take_ad_only_on_gl_n(monkeypatch, key, seeded):
     seen.clear()
     theta_adapt(whole_algebra_route(pair), x)
     assert seen and all(a is pair.algebra for a in seen)
+
+
+@pytest.mark.parametrize("key", sorted(CANONICAL, key=str))
+def test_gl_n_quotients_match_the_whole_algebra_on_canonical_reps(key):
+    pair = CANONICAL[key]
+    whole = whole_algebra_route(pair)
+    for mu in partitions(pair.inner_n):
+        x, t = orbit_rep(pair, mu), standard_triple(pair, mu)
+        assert eigen_check(pair, x, t) == eigen_check(whole, x, t)
+
+
+@settings(max_examples=25, deadline=None)
+@given(conjugates())
+def test_gl_n_quotients_match_the_whole_algebra_on_conjugates(drawn):
+    pair, x = drawn
+    t = theta_adapt(pair, x)
+    assert eigen_check(pair, x, t) == eigen_check(whole_algebra_route(pair), x, t)
+
+
+@pytest.mark.parametrize("key", [("diagonal", 3, None), ("quadratic_ext", 3, 5)])
+def test_quotients_are_taken_on_gl_n_for_built_in_pairs_only(monkeypatch, key):
+    pair = PAIRS[key]
+    seen = []
+    real = criteria.restricted_ad
+
+    def spy(g, h, rows, modulo=()):
+        seen.append(g)
+        return real(g, h, rows, modulo=modulo)
+
+    monkeypatch.setattr(criteria, "restricted_ad", spy)
+    audits = audit_orbits(pair)
+    assert len(seen) == len(audits) and all(g is inner_gl(3) for g in seen)
+    # the same body, on the custom pair's own algebra
+    seen.clear()
+    for a in audits:
+        eigen_check(whole_algebra_route(pair), list(a.representative), a.triple)
+    assert len(seen) == len(audits) and all(g is pair.algebra for g in seen)

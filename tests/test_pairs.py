@@ -445,8 +445,9 @@ class TestDescendants:
         g2 = GroupElement(q, quad_matrix(q, [[0, 0], [0, 1]], [[1, 0], [0, 0]]))   # diag(w, 1)
         assert is_normal(q, g2)
         sub = descendant_at_group_element(q, g2)
-        # s(g2) = diag(w * (-w)^{-1}, 1) = diag(... ) check the dims instead
-        assert sub.dim_g in (4, 8)
+        # s(g2) = diag(w * (-w)^{-1}, 1) = diag(-1, 1): its centralizer is the
+        # diagonal gl_1(E) + gl_1(E), with the rational diagonal as h
+        assert (sub.dim_g, sub.dim_h, sub.dim_gsigma) == (4, 2, 2)
         lhs = sub.dim_gsigma
         assert lhs == sub.dim_g - sub.dim_h
 
