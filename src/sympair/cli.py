@@ -83,22 +83,26 @@ def _attach_list_values(argv: List[str]) -> List[str]:
 
 
 def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The sympair parser: every subcommand with its help text, but only the
-    one named in argv (its first non-option word) with its arguments."""
+    """The sympair parser.  When argv starts with a subcommand, only that one
+    is registered, with its arguments, and the choices' metavar keeps the
+    usage line; otherwise every subcommand is, with its help text only."""
     parser = argparse.ArgumentParser(
         prog="sympair",
         description="exact audits and local constants for symmetric pairs")
-    sub = parser.add_subparsers(dest="command", required=True)
-    command = next((a for a in argv if not a.startswith("-")), None)
-    for name, help_text, add_args, handler in (
-            ("audit", "sweep and audit all nilpotent orbits", _audit_args, _cmd_audit),
-            ("triple", "adapted sl2 triple over a nilpotent element", _element_args, _cmd_triple),
-            ("descend", "descendant pair at a semisimple element", _element_args, _cmd_descend),
-            ("weil", "local constants of a diagonal quadratic form", _weil_args, _cmd_weil),
-            ("infer", "close a fact set under the implication rules", _infer_args, _cmd_infer)):
+    commands = (
+        ("audit", "sweep and audit all nilpotent orbits", _audit_args, _cmd_audit),
+        ("triple", "adapted sl2 triple over a nilpotent element", _element_args, _cmd_triple),
+        ("descend", "descendant pair at a semisimple element", _element_args, _cmd_descend),
+        ("weil", "local constants of a diagonal quadratic form", _weil_args, _cmd_weil),
+        ("infer", "close a fact set under the implication rules", _infer_args, _cmd_infer))
+    named = [c for c in commands if argv and c[0] == argv[0]]
+    # a lone subcommand still shows all five in the usage line
+    metavar = "{%s}" % ",".join(c[0] for c in commands) if named else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, add_args, handler in named or commands:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        if name == command:
+        if named:
             add_args(p)
     return parser
 

@@ -58,12 +58,11 @@ from .linalg import (
     nonzeros,
     rank,
 )
-from .pairs import (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT, SymmetricPair, inner_vector,
-                    lift_inner_triple, minus_one_vector)
+from .pairs import (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT, SymmetricPair, inner_gl,
+                    inner_vector, lift_inner_triple, minus_one_vector)
 from .scalars import ONE, ZERO
 from .sl2 import (
     SL2Triple,
-    inner_gl,
     restricted_ad,
     sl2_decompose,
     theta_adapt,

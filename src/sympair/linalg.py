@@ -33,7 +33,8 @@ def is_zero_vector(x: Vector) -> bool:
     return all(not a for a in x)
 
 def nonzeros(x: Vector) -> SparseVector:
-    return {i: a for i, a in enumerate(x) if a}
+    """{i: x[i]} over the nonzero entries; the shared ZERO is skipped by identity."""
+    return {i: a for i, a in enumerate(x) if a is not ZERO and a}
 
 
 class Matrix:

@@ -20,8 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property, lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, PreconditionError, ShapeError
 from .liealg import LieAlgebra, build_gl, build_product, build_quadratic_extension
@@ -29,8 +29,10 @@ from .linalg import (
     Matrix,
     SparseVector,
     Vector,
+    _int_combination,
     coords_in_basis,
     echelon_subspace,
+    integer_scaled,
     inverse,
     is_nilpotent_matrix,
     is_semisimple_matrix,
@@ -40,6 +42,7 @@ from .linalg import (
     kernel_in_span,
     nonzeros,
     rank,
+    rationals,
     restrict_action,
     shift_diagonal,
     solve_many,
@@ -50,6 +53,9 @@ from .scalars import ONE, ZERO, rat
 FAMILY_DIAGONAL = "diagonal"
 FAMILY_QUADRATIC_EXT = "quadratic_ext"
 FAMILY_CUSTOM = "custom"
+
+# gl_n, built once per n: the inner algebra of both built-in families
+inner_gl = lru_cache(maxsize=None)(build_gl)
 
 
 class SymmetricPair:
@@ -142,29 +148,44 @@ class SymmetricPair:
         """gsigma_basis by nonzeros, built on first read."""
         return [nonzeros(b) for b in self.gsigma_basis]
 
+    @cached_property
+    def _theta_int_cols(self) -> Tuple[List[List[Tuple[int, int]]], int]:
+        """_theta_cols over Z: the nonzeros (i, c) of t theta e_j, and t."""
+        ints, t = integer_scaled([c for col in self._theta_cols for _, c in col])
+        it = iter(ints)
+        return [[(i, next(it)) for i, _ in col] for col in self._theta_cols], t
+
     def theta_apply(self, v: Vector) -> Vector:
-        out = [ZERO] * self.dim_g
-        for i, a in self._nonzeros_and_theta(v)[1].items():
-            out[i] = a
-        return out
+        _, image, s, t = self._theta_over_z(v)
+        return rationals([image.get(i, 0) for i in range(self.dim_g)], s * t)
 
     def in_h(self, v: Vector) -> bool:
-        nz, image = self._nonzeros_and_theta(v)
-        return image == nz
+        nz, image, _, t = self._theta_over_z(v)
+        return image == {j: t * a for j, a in nz.items()}
 
     def in_gsigma(self, v: Vector) -> bool:
-        nz, image = self._nonzeros_and_theta(v)
-        return image == {i: -a for i, a in nz.items()}
+        nz, image, _, t = self._theta_over_z(v)
+        return image == {j: -t * a for j, a in nz.items()}
 
-    def _nonzeros_and_theta(self, v: Vector) -> Tuple[SparseVector, SparseVector]:
-        """The nonzeros of v and of theta v, applying theta over nonzeros only."""
+    def _theta_over_z(self, v: Vector) -> Tuple[Dict[int, int], Dict[int, int], int, int]:
+        """(V, T, s, t): v = V / s and theta v = T / (s t), V and T by nonzeros over Z."""
         if len(v) != self.dim_g:
             raise ShapeError("theta operand must have length %d" % self.dim_g)
-        nz = nonzeros(v)
-        return nz, sparse_combination((c, self._theta_cols[j]) for j, c in nz.items())
+        ints, s = integer_scaled(v)
+        cols, t = self._theta_int_cols
+        nz = {j: a for j, a in enumerate(ints) if a}
+        return nz, _int_combination((a, cols[j]) for j, a in nz.items()), s, t
 
     def centralizer_in(self, x: Vector, subspace: Sequence[Vector]) -> List[Vector]:
-        """Echelon basis of {v in span(subspace) : [x, v] = 0}, in g coordinates."""
+        """Echelon basis of {v in span(subspace) : [x, v] = 0}, in g coordinates.
+
+        For a built-in pair, x in s and subspace equal to h_basis, z_h(x) is a
+        copy of z(X): taken on gl_n, its RREF rows lift to RREF rows (A, A) or A.
+        """
+        if (self.family in (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT)
+                and subspace == self.h_basis and self.in_gsigma(x)):
+            z = inner_gl(self.inner_n).centralizer([inner_vector(self, x)])
+            return [plus_one_vector(self.family, a) for a in z]
         return kernel_in_span(self.algebra.ad(x), subspace)
 
     def invariants_in_gsigma(self) -> List[Vector]:
@@ -186,6 +207,11 @@ def minus_one_vector(family: str, inner: Vector) -> Vector:
     return [ZERO] * len(inner) + inner
 
 
+def plus_one_vector(family: str, inner: Vector) -> Vector:
+    """(A, A) in the diagonal family, the plain A in the quadratic extension."""
+    return inner + (inner if family == FAMILY_DIAGONAL else [ZERO] * len(inner))
+
+
 def inner_vector(pair: SymmetricPair, v: Vector, in_h: bool = False) -> Vector:
     """The inner gl_n coordinates of v in s, or in h when in_h: X of (X, -X)
     or w X, and A of (A, A) or the plain A.  v must lie in that eigenspace."""
@@ -196,9 +222,9 @@ def inner_vector(pair: SymmetricPair, v: Vector, in_h: bool = False) -> Vector:
 def lift_inner_triple(pair: SymmetricPair, h: Vector, f: Vector) -> Tuple[Vector, Vector]:
     """(h, f) in g from (H, F) in gl_n: (H, H) and (F, -F) in the diagonal
     family, the plain H and w F / d in the quadratic extension."""
-    if pair.family == FAMILY_DIAGONAL:
-        return h + h, minus_one_vector(pair.family, f)
-    return h + [ZERO] * len(h), minus_one_vector(pair.family, [e / pair.disc for e in f])
+    if pair.family == FAMILY_QUADRATIC_EXT:
+        f = [e / pair.disc for e in f]
+    return plus_one_vector(pair.family, h), minus_one_vector(pair.family, f)
 
 
 def make_diagonal_pair(n: int) -> SymmetricPair:
@@ -383,7 +409,7 @@ def descendant(pair: SymmetricPair, x: Vector) -> SymmetricPair:
     Requires x semisimple; its eigenvalues may lie in any extension of Q.
     For semisimple x, g = g_x + [x, g] is B-orthogonal, so the form stays
     non-degenerate on g_x, and subpair_on revalidates every invariant.
-    For x = 0 this is the pair itself.
+    A built-in pair takes both on gl_n.  For x = 0 this is the pair itself.
     """
     if pair.algebra.realization is None:
         raise ShapeError("descendant requires a matrix realization")
@@ -391,7 +417,7 @@ def descendant(pair: SymmetricPair, x: Vector) -> SymmetricPair:
         raise PreconditionError("element is not in the -1 eigenspace")
     if is_zero_vector(x):
         return pair
-    return _semisimple_descendant(pair, x, "element is not semisimple in the realization")
+    return _semisimple_descendant(pair, x, "element is not semisimple in the realization", True)
 
 
 def descendant_at_group_element(pair: SymmetricPair, g: GroupElement) -> SymmetricPair:
@@ -407,11 +433,21 @@ def descendant_at_group_element(pair: SymmetricPair, g: GroupElement) -> Symmetr
                                   "symmetrization is not semisimple")
 
 
-def _semisimple_descendant(pair: SymmetricPair, v: Vector, not_semisimple: str) -> SymmetricPair:
-    """Sub-pair on the centralizer of v once v is semisimple in the realization."""
-    if not is_semisimple_matrix(pair.algebra.realize(v)):
+def _semisimple_descendant(pair: SymmetricPair, v: Vector, not_semisimple: str,
+                           in_s: bool = False) -> SymmetricPair:
+    """Sub-pair on the centralizer of v once v is semisimple in the realization.
+
+    For v in s of a built-in pair both run on inner_gl(n) over X of v = (X, -X)
+    or w X: diag(X, -X) and w (x) X (w semisimple, invertible, commuting with X)
+    are semisimple iff X is, and g_v = {(A, B) : A, B in z(X)} in both families.
+    """
+    g, u = pair.algebra, v
+    if in_s and pair.family in (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT):
+        g, u = inner_gl(pair.inner_n), inner_vector(pair, v)
+    if not is_semisimple_matrix(g.realize(u)):
         raise PreconditionError(not_semisimple)
-    return subpair_on(pair, pair.algebra.centralizer([v]))
+    z, zero = g.centralizer([u]), [ZERO] * g.dim
+    return subpair_on(pair, z if g is pair.algebra else [a + zero for a in z] + [zero + a for a in z])
 
 
 def subpair_on(pair: SymmetricPair, basis: Sequence[Vector]) -> SymmetricPair:

@@ -25,11 +25,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, PreconditionError
-from .liealg import LieAlgebra, build_gl
+from .liealg import LieAlgebra
 from .linalg import (
     Matrix,
     SparseVector,
@@ -44,12 +43,10 @@ from .linalg import (
     solve,
     vec_scale,
 )
-from .pairs import (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT, SymmetricPair, inner_vector,
-                    lift_inner_triple)
+from .pairs import (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT, SymmetricPair, inner_gl,
+                    inner_vector, lift_inner_triple)
 from .scalars import HALF, ONE, ZERO
 
-# gl_n, built once per n: the inner algebra of both built-in families
-inner_gl = lru_cache(maxsize=None)(build_gl)
 _NO_ADAPTED_F = "averaged h left the image of ad x: no f with [x, f] = h and [h, f] = -2f"
 
 

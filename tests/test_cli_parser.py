@@ -1,4 +1,4 @@
-"""The parser builds arguments only for the subcommand named in argv.
+"""The parser registers only the subcommand named first in argv, with its arguments.
 
 Help text and usage errors keep their bytes: the sha256 of stdout, a NUL
 and stderr, at 80 columns, were recorded from the parser that built every
@@ -48,5 +48,7 @@ def test_only_the_named_subcommand_gets_arguments():
     assert _options(_build_parser([])) == {name: [] for name in
                                            ("audit", "triple", "descend", "weil", "infer")}
     opts = _options(_build_parser(["triple", "--family", "diagonal", "--element", "1"]))
-    assert opts["triple"] == ["--d", "--element", "--family", "--max-orbit-n", "--n", "--spec"]
-    assert all(not o for name, o in opts.items() if name != "triple")
+    assert opts == {"triple": ["--d", "--element", "--family", "--max-orbit-n", "--n", "--spec"]}
+    # the other four are not registered at all, unless argv starts elsewhere
+    assert set(_options(_build_parser(["--n", "3", "audit"]))) == {
+        "audit", "triple", "descend", "weil", "infer"}

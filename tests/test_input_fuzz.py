@@ -7,7 +7,8 @@ file.  A mutation drops a key or item, retypes or re-nests a value, or
 inserts a new one; the values put in are huge ints, booleans, floats,
 strings, null and empty containers.  The element vectors of descend and
 triple are fuzzed on their own, over the built-in pairs of diagonal n <= 3
-and quadratic_ext n <= 2.  Whatever the input, the exit code is 0, 1 or 2 and
+and quadratic_ext n <= 2, and triple once more over small entries, where
+it must answer or refuse: exit 0 or 2.  Whatever the input, the exit code is 0, 1 or 2 and
 stderr shows no traceback, no INTERNAL ERROR and no INVARIANT VIOLATED.
 """
 
@@ -222,9 +223,9 @@ def inner_matrices(draw, n):
 
 
 @st.composite
-def nilpotent_conjugates(draw, n):
+def nilpotent_conjugates(draw, n, entry=ENTRY):
     """An n x n rational g J_mu g^-1 for a partition mu of n and any
-    invertible g with entries drawn like the element entries."""
+    invertible g with entries drawn from entry (the element entries by default)."""
     mu = draw(st.sampled_from(partitions(n)))
     j = [[Fraction(0)] * n for _ in range(n)]
     at = 0
@@ -232,16 +233,16 @@ def nilpotent_conjugates(draw, n):
         for i in range(at, at + size - 1):
             j[i][i + 1] = Fraction(1)
         at += size
-    g = Matrix([[draw(ENTRY) for _ in range(n)] for _ in range(n)])
+    g = Matrix([[draw(entry) for _ in range(n)] for _ in range(n)])
     assume(rank(g) == n)
     return (g @ Matrix(j) @ inverse(g)).rows
 
 
 @st.composite
-def pair_elements(draw, inner):
+def pair_elements(draw, inner, entry=ENTRY):
     """(pair arguments, --element text): (X, -X) or w X for X drawn from
     inner(n), sometimes with a plain part, one coordinate changed, one
-    dropped or one junk token."""
+    dropped or one junk token; plain parts and changes are drawn from entry."""
     family, n, d = draw(st.sampled_from(ELEMENT_PAIRS))
     flat = [e for row in draw(inner(n)) for e in row]
     if family == "diagonal":
@@ -249,13 +250,13 @@ def pair_elements(draw, inner):
     else:
         plain = [Fraction(0)] * len(flat)
         if draw(st.integers(0, 4)) == 0:
-            plain = [draw(ENTRY) for _ in flat]
+            plain = [draw(entry) for _ in flat]
         vec = plain + flat
     tokens = [str(e) for e in vec]
     edit = draw(st.sampled_from(["none", "none", "change", "drop", "junk"]))
     at = draw(st.integers(0, len(tokens) - 1))
     if edit == "change":
-        tokens[at] = str(draw(ENTRY))
+        tokens[at] = str(draw(entry))
     elif edit == "drop":
         del tokens[at]
     elif edit == "junk":
@@ -276,3 +277,13 @@ def test_descend_element_keeps_the_exit_code_contract(drawn):
 def test_triple_element_keeps_the_exit_code_contract(drawn):
     args, element = drawn
     assert_contract(*run(["triple"] + args + ["--element", element]))
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=10))
+@given(pair_elements(lambda n: nilpotent_conjugates(n, SMALL), SMALL))
+def test_small_triple_elements_exit_0_or_2(drawn):
+    """Small-entry nilpotent conjugates, edited or not, get a triple or a refusal."""
+    args, element = drawn
+    code, err = run(["triple"] + args + ["--element", element])
+    assert code in (0, 2), err
+    assert_contract(code, err)
