@@ -175,18 +175,21 @@ def _load_json(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise InputError("bad JSON in %s: line %d column %d"
                          % (path, exc.lineno, exc.colno)) from exc
-    except ValueError as exc:
-        # bytes that are not UTF-8, or an integer literal longer than int()
-        # reads from a string
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, an integer literal longer than int()
+        # reads from a string, or nesting deeper than the decoder recurses
         raise InputError("bad JSON in %s: %s" % (path, exc)) from exc
 
 
 def _emit(text: str, out: Optional[str]):
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError("cannot write %s: %s" % (out, exc)) from exc
 
 
 def _cmd_audit(args) -> int:

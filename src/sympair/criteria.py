@@ -2,7 +2,8 @@
 
 For the built-in families the nilpotent orbits of the -1 eigenspace are
 classified by partitions of the inner size n (Jordan types), so a full
-sweep is finite: one representative per partition, each audited for
+sweep is finite: one representative per partition, each given its adapted
+triple by sl2.theta_adapt (every element, canonical or not) and audited for
 
   * the trace bound: tr(ad h restricted to the centralizer z_h(x) of x in
     the +1 space) versus dim of the -1 space, in both the strict (<) and
@@ -10,9 +11,9 @@ sweep is finite: one representative per partition, each audited for
   * the quotient spectrum: eigenvalues of ad h on s/[x, h] must be
     non-positive integers;
   * the bookkeeping identity: the weight multiset of gl_n under the
-    partition's triple, counted from its ad h weights, must equal
-    the Clebsch-Gordan prediction from the partition, and
-    sum(l + 1) = n^2.
+    partition's closed-form triple sl2.jordan_triple, counted from its
+    ad h weights, must equal the Clebsch-Gordan prediction from the
+    partition, and sum(l + 1) = n^2.
 
 The quotient has one route for every pair and every triple.  In both
 built-in families h and s are copies of gl_n, through A -> (A, A),
@@ -54,22 +55,21 @@ from .linalg import (
     Vector,
     echelon_rows,
     integer_spectrum,
-    is_zero_vector,
     nonzeros,
     rank,
 )
 from .pairs import (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT, SymmetricPair, inner_gl,
-                    inner_vector, lift_inner_triple, minus_one_vector)
-from .scalars import ONE, ZERO
+                    inner_vector, minus_one_vector)
+from .scalars import ONE
 from .sl2 import (
+    Partition,
     SL2Triple,
+    jordan_flat,
+    jordan_triple,
     restricted_ad,
     sl2_decompose,
     theta_adapt,
-    verify_triple,
 )
-
-Partition = Tuple[int, ...]
 
 
 def partitions(n: int) -> List[Partition]:
@@ -89,19 +89,6 @@ def partitions(n: int) -> List[Partition]:
 
     rec(n, n, ())
     return out
-
-
-def _jordan_flat(mu: Partition) -> Vector:
-    """The nilpotent Jordan matrix with block sizes mu (superdiagonal ones),
-    flattened row by row."""
-    n = sum(mu)
-    flat = [ZERO] * (n * n)
-    offset = 0
-    for part in mu:
-        for i in range(offset, offset + part - 1):
-            flat[i * n + i + 1] = ONE
-        offset += part
-    return flat
 
 
 def jordan_type(m: Matrix) -> Partition:
@@ -146,73 +133,14 @@ def nilpotent_orbit_reps(pair: SymmetricPair) -> List[Tuple[Partition, Vector]]:
 
 
 def orbit_rep(pair: SymmetricPair, mu: Partition) -> Vector:
-    """The canonical representative of the orbit with Jordan type mu."""
-    return list(_canonical_rep(pair.family, _partition_of_n(pair, mu)))
-
-
-def _partition_of_n(pair: SymmetricPair, mu: Partition) -> Partition:
-    """mu as a tuple, refused unless it is a non-increasing sequence of
-    positive ints summing to the pair's inner n."""
+    """The canonical representative of the orbit with Jordan type mu, refused
+    unless mu is a non-increasing sequence of positive ints summing to the
+    pair's inner n."""
     mu = tuple(mu)
     if not (all(type(p) is int and p > 0 for p in mu)
             and all(a >= b for a, b in zip(mu, mu[1:])) and sum(mu) == pair.inner_n):
         raise PreconditionError("%s is not a partition of n = %s" % (mu, pair.inner_n))
-    return mu
-
-
-@lru_cache(maxsize=None)
-def _canonical_rep(family: str, mu: Partition) -> tuple:
-    """orbit_rep, built once per family and partition and shared by the sweep."""
-    return tuple(minus_one_vector(family, _jordan_flat(mu)))
-
-
-def _flatten(m: Matrix) -> Vector:
-    return [e for row in m.rows for e in row]
-
-
-def standard_blocks(mu: Partition) -> Tuple[Matrix, Matrix]:
-    """(H, F) completing J_mu to the standard sl2 triple (J_mu, H, F) of gl_n.
-
-    Per block of size m: H = diag(m-1, m-3, ..., 1-m) and
-    F = sum_i i(m-i) E_{i+1,i}, so [H, J] = 2J, [H, F] = -2F, [J, F] = H
-    (Collingwood-McGovern, Nilpotent Orbits in Semisimple Lie Algebras,
-    ch. 3).
-    """
-    n = sum(mu)
-    h_rows = [[ZERO] * n for _ in range(n)]
-    f_rows = [[ZERO] * n for _ in range(n)]
-    offset = 0
-    for m in mu:
-        for i in range(m):
-            h_rows[offset + i][offset + i] = Fraction(m - 1 - 2 * i)
-            if i + 1 < m:
-                f_rows[offset + i + 1][offset + i] = Fraction((i + 1) * (m - 1 - i))
-        offset += m
-    return Matrix(h_rows), Matrix(f_rows)
-
-
-def standard_triple(pair: SymmetricPair, mu: Partition) -> SL2Triple:
-    """Adapted triple over orbit_rep(pair, mu) in closed form, verified.
-
-    diagonal family: h = (H, H), f = (F, -F); quadratic extension: h = H,
-    f = w F / d.  It equals what theta_adapt returns for the same
-    representative, and passes the same relation and eigenspace checks.
-    """
-    if pair.family not in (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT):
-        raise PreconditionError("closed-form triples exist only for built-in families")
-    x = _canonical_rep(pair.family, _partition_of_n(pair, mu))
-    if is_zero_vector(x):
-        z = tuple(pair.algebra.zero_vector())
-        return SL2Triple(e=z, h=z, f=z, theta_adapted=True, degenerate=True)
-    hm, fm = standard_blocks(mu)
-    h, f = lift_inner_triple(pair, _flatten(hm), _flatten(fm))
-    triple = SL2Triple(e=x, h=tuple(h), f=tuple(f), theta_adapted=True)
-    verify_triple(pair.algebra, triple)
-    if not pair.in_h(list(triple.h)):
-        raise InvariantViolation("closed-form h is not theta-fixed")
-    if not pair.in_gsigma(list(triple.f)):
-        raise InvariantViolation("closed-form f is not theta-antifixed")
-    return triple
+    return minus_one_vector(pair.family, jordan_flat(mu))
 
 
 def inner_nilpotent_matrix(pair: SymmetricPair, x: Vector) -> Matrix:
@@ -260,12 +188,7 @@ def diagonal_trace_identity(n: int, mu: Partition) -> TraceIdentity:
 @lru_cache(maxsize=None)
 def _inner_weights_from_spectrum(n: int, mu: Partition) -> Tuple[int, ...]:
     """Weights of gl_n under the standard J_mu triple, counted from its ad h weights."""
-    g = inner_gl(n)
-    hm, fm = standard_blocks(mu)
-    triple = SL2Triple(e=tuple(_jordan_flat(mu)), h=tuple(_flatten(hm)),
-                       f=tuple(_flatten(fm)))
-    verify_triple(g, triple)
-    return sl2_decompose(g, triple).weights
+    return sl2_decompose(inner_gl(n), jordan_triple(mu)).weights
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +218,8 @@ class OrbitAudit:
 def speciality_audit(pair: SymmetricPair, x: Vector) -> OrbitAudit:
     """Audit one nilpotent element of the -1 eigenspace.
 
-    The canonical representative of its own Jordan type gets the
-    closed-form standard_triple, any other element theta_adapt.  For a
+    The adapted triple comes from theta_adapt, which takes the closed form
+    on a canonical representative and solves for any other element.  For a
     built-in family the trace is trace_from_quotient, checked against the
     Clebsch-Gordan sum, the quotient spectrum is checked against the
     negated Clebsch-Gordan weights, and both weight multisets are filled;
@@ -313,10 +236,7 @@ def speciality_audit(pair: SymmetricPair, x: Vector) -> OrbitAudit:
     w_part = None
     stage = "triple"
     try:
-        if partition is not None and tuple(x) == _canonical_rep(pair.family, partition):
-            triple = standard_triple(pair, partition)
-        else:
-            triple = theta_adapt(pair, x)
+        triple = theta_adapt(pair, x)
         if partition is None:
             stage = "trace"
             trace = restricted_trace(pair, list(triple.h), pair.centralizer_in(x, pair.h_basis))

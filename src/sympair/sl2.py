@@ -7,14 +7,17 @@ with h in the image of ad x; then f from the stacked system [x, f] = h,
 scope, so an unsolvable system is a loud internal error, never a soft
 failure.
 
-For a symmetric pair they give an adapted triple: a built-in pair solves
+For a symmetric pair they give an adapted triple: a built-in pair works
 on gl_n over the inner X of x = (X, -X) or w X and lifts (Kostant-Rallis),
-the systems on g being block copies of these; a custom pair averages h
-into the +1 space, then solves for f (which by Morozov's lemma succeeds
-exactly when the averaged h lies in the image of ad x) and antisymmetrizes
-it.  The h of the adapted triple is the quantity every downstream
-criterion consumes; its restricted traces are independent of all the
-choices made here (re-checked by tests with randomized solves).
+the systems on g being block copies of these.  When X is the Jordan matrix
+J_mu the gl_n triple has a closed form (jordan_triple, the solve's own
+canonical completion), so canonical orbit representatives skip the
+solves.  A custom pair averages h into the +1 space, then solves for f
+(which by Morozov's lemma succeeds exactly when the averaged h lies in the
+image of ad x) and antisymmetrizes it.  The h of the adapted triple is the
+quantity every downstream criterion consumes; its restricted traces are
+independent of all the choices made here (re-checked by tests with
+randomized solves).
 
 Weights are counted, never given bases: by eigenvector buckets when h is
 diagonal, else by the rank probes of integer_spectrum.
@@ -25,6 +28,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, PreconditionError
@@ -46,6 +51,8 @@ from .linalg import (
 from .pairs import (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT, SymmetricPair, inner_gl,
                     inner_vector, lift_inner_triple)
 from .scalars import HALF, ONE, ZERO
+
+Partition = Tuple[int, ...]
 
 _NO_ADAPTED_F = "averaged h left the image of ad x: no f with [x, f] = h and [h, f] = -2f"
 
@@ -131,12 +138,57 @@ def verify_triple(g: LieAlgebra, t: SL2Triple):
         raise InvariantViolation("triple relation [e,f] = h fails")
 
 
+def jordan_flat(mu: Partition) -> Vector:
+    """The nilpotent Jordan matrix J_mu (superdiagonal ones within each block
+    of size mu_i), flattened row by row."""
+    n, starts = sum(mu), set(accumulate(mu))
+    return [ONE if c == r + 1 and c not in starts else ZERO for r in range(n) for c in range(n)]
+
+
+@lru_cache(maxsize=None)
+def jordan_triple(mu: Partition) -> SL2Triple:
+    """The standard triple (J_mu, H, F) of gl_n, n = sum(mu), flat and
+    verified once per mu on inner_gl(n).
+
+    Per block of size m: H = diag(m-1, m-3, ..., 1-m) and
+    F = sum_i i(m-i) E_{i+1,i}, so [H, J] = 2J, [H, F] = -2F, [J, F] = H
+    (Collingwood-McGovern, Nilpotent Orbits in Semisimple Lie Algebras,
+    ch. 3).  It is the solve's canonical completion of J_mu.
+    """
+    n = sum(mu)
+    h, f = [ZERO] * (n * n), [ZERO] * (n * n)
+    offset = 0
+    for m in mu:
+        for i in range(m):
+            r = offset + i
+            h[r * n + r] = Fraction(m - 1 - 2 * i)
+            if i + 1 < m:
+                f[(r + 1) * n + r] = Fraction((i + 1) * (m - 1 - i))
+        offset += m
+    triple = SL2Triple(e=tuple(jordan_flat(mu)), h=tuple(h), f=tuple(f))
+    verify_triple(inner_gl(n), triple)
+    return triple
+
+
+def _jordan_partition(n: int, x: Vector) -> Optional[Partition]:
+    """mu when the flat n x n matrix x is exactly J_mu with non-increasing
+    parts, else None: a superdiagonal entry other than 1 ends a block, and
+    x is then compared with J_mu in full."""
+    cuts = [0] + [i + 1 for i in range(n - 1) if x[i * n + i + 1] != 1] + [n]
+    mu = tuple(b - a for a, b in zip(cuts, cuts[1:]))
+    if all(a >= b for a, b in zip(mu, mu[1:])) and list(x) == jordan_flat(mu):
+        return mu
+    return None
+
+
 def theta_adapt(pair: SymmetricPair, x: Vector, rng: Optional[random.Random] = None) -> SL2Triple:
     """Triple over nilpotent x in the -1 space, adapted to the involution.
 
-    A built-in pair solves on gl_n over the inner X of x = (X, -X) or w X
-    and lifts the result (lift_inner_triple).  A custom pair completes h as
-    in jacobson_morozov, averages it into the +1 space and re-checks
+    A built-in pair works on gl_n over the inner X of x = (X, -X) or w X
+    and lifts the result (lift_inner_triple): when X is exactly J_mu and no
+    rng asks for a random completion it takes the closed form jordan_triple,
+    otherwise it solves as jacobson_morozov does.  A custom pair completes h
+    as in jacobson_morozov, averages it into the +1 space and re-checks
     [h, x] = 2x; then f is solved once (which fails exactly when h left the
     image of ad x) and antisymmetrized.  Relations and eigenspace
     memberships are verified at the end, on the pair.
@@ -148,9 +200,16 @@ def theta_adapt(pair: SymmetricPair, x: Vector, rng: Optional[random.Random] = N
         z = tuple(g.zero_vector())
         return SL2Triple(e=z, h=z, f=z, theta_adapted=True, degenerate=True)
     if pair.family in (FAMILY_DIAGONAL, FAMILY_QUADRATIC_EXT):
-        gl = inner_gl(pair.inner_n)
-        adx, h = _complete_h(gl, inner_vector(pair, x), rng)
-        h, f = lift_inner_triple(pair, h, _solve_for_f(gl, adx, h, rng, _NO_ADAPTED_F))
+        inner = inner_vector(pair, x)
+        mu = None if rng is not None else _jordan_partition(pair.inner_n, inner)
+        if mu is not None:
+            closed = jordan_triple(mu)
+            h, f = closed.h, closed.f
+        else:
+            gl = inner_gl(pair.inner_n)
+            adx, h = _complete_h(gl, inner, rng)
+            f = _solve_for_f(gl, adx, h, rng, _NO_ADAPTED_F)
+        h, f = lift_inner_triple(pair, list(h), list(f))
     else:
         adx, h = _complete_h(g, x, rng)
         h = [(a + b) * HALF for a, b in zip(h, pair.theta_apply(h))]

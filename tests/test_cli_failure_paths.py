@@ -100,3 +100,35 @@ def test_triple_with_unprintable_entries_exits_2(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: a computed value has ")
     assert "INTERNAL ERROR" not in captured.err
+
+
+def _assert_bad_input(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "INTERNAL ERROR" not in captured.err and "this is a bug" not in captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["infer", "--facts"],
+    ["audit", "--spec"],
+    ["triple", "--element", "0", "--spec"],
+], ids=["infer-facts", "audit-spec", "triple-spec"])
+def test_too_deeply_nested_json_exits_2(capsys, tmp_path, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    err = _assert_bad_input(capsys, argv + [str(deep)])
+    assert err.startswith("error: bad JSON in %s: " % deep)
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    missing = tmp_path / "missing" / "x.json"
+    err = _assert_bad_input(capsys, ["audit", "--family", "diagonal", "--n", "2",
+                                     "--out", str(missing)])
+    assert err.startswith("error: cannot write %s: " % missing)
+    facts = tmp_path / "facts.json"
+    facts.write_text(json.dumps({"pair_id": "p", "atoms": []}))
+    err = _assert_bad_input(capsys, ["infer", "--facts", str(facts), "--out", str(tmp_path)])
+    assert err.startswith("error: cannot write %s: " % tmp_path)

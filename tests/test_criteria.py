@@ -6,7 +6,6 @@ from fractions import Fraction as F
 import pytest
 
 from sympair.criteria import (
-    _jordan_flat,
     audit_orbits,
     clebsch_gordan_weights,
     diagonal_trace_identity,
@@ -20,13 +19,13 @@ from sympair.criteria import (
 from sympair.errors import PreconditionError
 from sympair.linalg import Matrix
 from sympair.pairs import make_diagonal_pair, make_quadratic_ext_pair
-from sympair.sl2 import theta_adapt
+from sympair.sl2 import jordan_flat, theta_adapt
 
 
 def jordan_matrix(mu):
     """Nilpotent Jordan matrix with block sizes mu (superdiagonal ones)."""
     n = sum(mu)
-    flat = _jordan_flat(mu)
+    flat = jordan_flat(mu)
     return Matrix([flat[i * n:(i + 1) * n] for i in range(n)])
 
 

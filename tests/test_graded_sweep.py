@@ -36,7 +36,7 @@ from sympair.linalg import (
     shift_diagonal,
 )
 from sympair.pairs import SymmetricPair, make_diagonal_pair, make_quadratic_ext_pair
-from sympair.sl2 import SL2Triple, eigenvector_weights, sl2_decompose, theta_adapt
+from sympair.sl2 import SL2Triple, eigenvector_weights, jordan_triple, sl2_decompose, theta_adapt
 
 from test_criteria import jordan_matrix
 from test_kernels import complete_basis
@@ -194,8 +194,7 @@ def test_eigen_check_elimination_work_on_both_routes(monkeypatch, mu):
     pair = make_diagonal_pair(5)
     conjugate = conjugate_of(pair, mu)
     rep = criteria.orbit_rep(pair, mu)
-    for x, t in ((conjugate, theta_adapt(pair, conjugate)),
-                 (rep, criteria.standard_triple(pair, mu))):
+    for x, t in ((conjugate, theta_adapt(pair, conjugate)), (rep, theta_adapt(pair, rep))):
         got, ours = work(eigen_check, pair, x, t)
         want, reference = work(reference_eigen_check, pair, x, t)
         assert got == want
@@ -218,10 +217,7 @@ def test_sweep_matches_reference(key):
 def test_gl_weights_match_reference(n):
     g = build_gl(n)
     for mu in partitions(n):
-        hm, fm = criteria.standard_blocks(mu)
-        t = SL2Triple(e=tuple(e for row in jordan_matrix(mu).rows for e in row),
-                      h=tuple(e for row in hm.rows for e in row),
-                      f=tuple(e for row in fm.rows for e in row))
+        t = jordan_triple(mu)
         assert sl2_decompose(g, t).weights == reference_weights(g, t)
 
 
@@ -274,7 +270,7 @@ def test_positive_weight_is_reported_not_raised():
     # on gl_2, [X, gl_2] is spanned by E21 and E11 - E22, and E12 and E22
     # span a complement, of weights 2 and 0
     pair = make_diagonal_pair(2)
-    t = criteria.standard_triple(pair, (2,))
+    t = theta_adapt(pair, criteria.orbit_rep(pair, (2,)))
     x = [F(0), F(0), F(1), F(0), F(0), F(0), F(-1), F(0)]
     assert eigen_check(pair, x, t) == ((0, 1), (2, 1))
     assert eigen_check(pair, x, t) == reference_eigen_check(pair, x, t)
@@ -282,7 +278,7 @@ def test_positive_weight_is_reported_not_raised():
 
 def test_unstable_subspace_trace_raises():
     pair = make_diagonal_pair(2)
-    h = list(criteria.standard_triple(pair, (2,)).h)
+    h = list(theta_adapt(pair, criteria.orbit_rep(pair, (2,))).h)
     # (E11 + E12, E11 + E12) is not an ad h eigenvector and spans no stable subspace
     v = [F(1), F(1), F(0), F(0), F(1), F(1), F(0), F(0)]
     with pytest.raises(InvariantViolation, match="does not preserve"):
@@ -290,13 +286,11 @@ def test_unstable_subspace_trace_raises():
 
 
 def test_sweep_names_the_partition(monkeypatch):
-    closed_form = criteria.standard_triple
-
-    def third_h(pair, mu):
-        t = closed_form(pair, mu)
+    def third_h(pair, x, rng=None):
+        t = theta_adapt(pair, x, rng)
         return dataclasses.replace(t, h=tuple(c / 3 for c in t.h))
 
-    monkeypatch.setattr(criteria, "standard_triple", third_h)
+    monkeypatch.setattr(criteria, "theta_adapt", third_h)
     pair = make_diagonal_pair(2)
     with pytest.raises(InvariantViolation, match=r"partition \(2,\): quotient: non-integral"):
         audit_orbits(pair)
@@ -313,7 +307,7 @@ def test_restricted_trace_reads_pivots_without_a_solve(monkeypatch):
 
     pair = make_diagonal_pair(3)
     x = criteria.orbit_rep(pair, (2, 1))
-    h = list(criteria.standard_triple(pair, (2, 1)).h)
+    h = list(theta_adapt(pair, x).h)
     hx = pair.centralizer_in(x, pair.h_basis)
     want = reference_restricted_trace(pair, h, hx)
     monkeypatch.setattr(linalg, "rref", refuse)
@@ -334,7 +328,7 @@ def test_quotient_route_refuses_an_h_that_leaves_s():
     pair = make_diagonal_pair(2)
     x = criteria.orbit_rep(pair, (2,))
     h = (F(0), F(0), F(1), F(0), F(0), F(0), F(0), F(0))
-    t = dataclasses.replace(criteria.standard_triple(pair, (2,)), h=h)
+    t = dataclasses.replace(theta_adapt(pair, x), h=h)
     with pytest.raises(InvariantViolation, match=r"^h is not in the \+1 eigenspace"):
         eigen_check(pair, x, t)
 

@@ -319,7 +319,7 @@ def test_subpair_on_brackets_and_solves_nothing_in_fractions(monkeypatch):
 def test_restricted_trace_brackets_and_solves_nothing_in_fractions(monkeypatch):
     pair = make_diagonal_pair(3)
     x = criteria.orbit_rep(pair, (2, 1))
-    h = list(criteria.standard_triple(pair, (2, 1)).h)
+    h = list(sl2.theta_adapt(pair, x).h)
     hx = pair.centralizer_in(x, pair.h_basis)
     refuse_fraction_route(monkeypatch)
     assert criteria.restricted_trace(pair, h, hx) == sum(criteria.clebsch_gordan_weights((2, 1)))

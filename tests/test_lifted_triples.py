@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from sympair import criteria
 from sympair.cli import main
-from sympair.criteria import audit_orbits, eigen_check, orbit_rep, partitions, standard_triple
+from sympair.criteria import audit_orbits, eigen_check, orbit_rep, partitions
 from sympair.errors import PreconditionError
 from sympair.liealg import LieAlgebra
 from sympair.linalg import Matrix, inverse
@@ -164,7 +164,8 @@ def test_gl_n_quotients_match_the_whole_algebra_on_canonical_reps(key):
     pair = CANONICAL[key]
     whole = whole_algebra_route(pair)
     for mu in partitions(pair.inner_n):
-        x, t = orbit_rep(pair, mu), standard_triple(pair, mu)
+        x = orbit_rep(pair, mu)
+        t = theta_adapt(pair, x)
         assert eigen_check(pair, x, t) == eigen_check(whole, x, t)
 
 

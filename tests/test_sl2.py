@@ -136,9 +136,11 @@ class TestSolveCount:
         monkeypatch.setattr(sl2, "jacobson_morozov", unadapted)
         for pair in (make_diagonal_pair(3), make_quadratic_ext_pair(2, 5)):
             for _, x in nilpotent_orbit_reps(pair):
-                calls.clear()
-                t = sl2.theta_adapt(pair, x)
-                assert len(calls) == (0 if t.degenerate else 2)
+                # the canonical rep takes the closed form; 2x is no J_mu
+                for y, solves in ((x, 0), ([2 * e for e in x], 2)):
+                    calls.clear()
+                    t = sl2.theta_adapt(pair, y)
+                    assert len(calls) == (0 if t.degenerate else solves)
 
     def test_failed_f_solve_names_the_image_condition(self, monkeypatch):
         import sympair.sl2 as sl2
@@ -152,7 +154,7 @@ class TestSolveCount:
         monkeypatch.setattr(sl2, "solve", second_solve_fails)
         p = make_diagonal_pair(2)
         x = p.algebra.zero_vector()
-        x[1], x[5] = F(1), F(-1)
+        x[1], x[5] = F(2), F(-2)              # (2 E12, -2 E12): no J_mu, so it solves
         with pytest.raises(InvariantViolation, match="averaged h left the image of ad x"):
             sl2.theta_adapt(p, x)
 
