@@ -7,13 +7,17 @@ optionally a faithful matrix realization (one square rational matrix per
 basis element) plus, for algebras obtained by a quadratic base change,
 the Galois conjugation as a linear map on coordinates.
 
-Vectors are coordinate lists over the basis.  All operations are pure;
-instances never mutate after construction.
+The structure constants have one integer form, ``int_structure``, built on
+first use; ad and the Jacobi check run over Z on it.  Vectors are coordinate
+lists over the basis.  All operations are pure; instances never mutate
+after construction.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import PreconditionError, ShapeError
@@ -21,6 +25,7 @@ from .linalg import (
     Matrix,
     SparseVector,
     Vector,
+    int_combination,
     integer_scaled,
     is_zero_vector,
     kernel_basis,
@@ -51,7 +56,6 @@ class LieAlgebra:
         self.realization = realization
         self.conjugation = conjugation
         self._realization_nz: Optional[List[Dict[Tuple[int, int], Fraction]]] = None
-        self._int_structure = None
         self._killing: Optional[Matrix] = None
         self._trace_form: Optional[Matrix] = None
         if realization is not None:
@@ -135,18 +139,22 @@ class LieAlgebra:
         cols, scale = self.ad_columns(x)
         return Matrix.from_columns([rationals(col, scale) for col in cols])
 
+    @cached_property
+    def int_structure(self) -> Tuple[List[Dict[int, Tuple[Tuple[int, int], ...]]], int]:
+        """(rows, s): the sparse rows with every structure constant times s, the
+        lcm of all their denominators; the one integer form of the constants."""
+        ints, scale = integer_scaled([c for left in self._rows for row in left.values()
+                                      for _, c in row])
+        it = iter(ints)
+        return [{j: tuple((k, next(it)) for k, _ in row) for j, row in left.items()}
+                for left in self._rows], scale
+
     def ad_columns(self, x: Vector) -> Tuple[List[List[int]], int]:
-        """(cols, s): column j of ad x is cols[j] / s, accumulated over Z with
-        the structure constants scaled (once) by the lcm of their denominators."""
+        """(cols, s): column j of ad x is cols[j] / s, accumulated over Z on
+        int_structure."""
         if len(x) != self.dim:
             raise ShapeError("ad operand must have length %d" % self.dim)
-        if self._int_structure is None:
-            ints, scale = integer_scaled([c for left in self._rows for row in left.values()
-                                          for _, c in row])
-            it = iter(ints)
-            self._int_structure = ([{j: tuple((k, next(it)) for k, _ in row)
-                                     for j, row in left.items()} for left in self._rows], scale)
-        rows, c_scale = self._int_structure
+        rows, c_scale = self.int_structure
         ints, x_scale = integer_scaled(x)
         cols = [[0] * self.dim for _ in range(self.dim)]
         for i, a in enumerate(ints):
@@ -222,19 +230,14 @@ class LieAlgebra:
                                      % (min(i, j), max(i, j)))
 
     def check_jacobi(self):
-        """Jacobi identity on all basis triples (i < j < k suffices by antisymmetry)."""
-        sr = self.sparse_row
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                rij = sr(i, j)
-                for k in range(j + 1, self.dim):
-                    acc: Dict[int, Fraction] = {}
-                    for first, second in ((rij, k), (sr(j, k), i), (sr(k, i), j)):
-                        for l, a in first:
-                            for m, c in sr(l, second):
-                                acc[m] = acc.get(m, ZERO) + a * c
-                    if any(acc.values()):
-                        raise ShapeError("Jacobi identity fails on basis triple (%d, %d, %d)" % (i, j, k))
+        """Jacobi identity on all basis triples (i < j < k suffices by antisymmetry),
+        over Z on int_structure: scaling every constant by s scales each sum by s^2."""
+        rows = self.int_structure[0]
+        for i, j, k in itertools.combinations(range(self.dim), 3):
+            # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
+            cyclic = ((rows[i].get(j, ()), k), (rows[j].get(k, ()), i), (rows[k].get(i, ()), j))
+            if int_combination((a, rows[l].get(m, ())) for first, m in cyclic for l, a in first):
+                raise ShapeError("Jacobi identity fails on basis triple (%d, %d, %d)" % (i, j, k))
 
     def check_realization(self):
         if self.realization is None:

@@ -9,7 +9,10 @@ rationals (Fraction, or int), scaled to integers by the lcm of their
 denominators: ``rref`` eliminates over Z row by row, the products (``@``,
 ``matvec``, ``LieAlgebra.ad``) accumulate ints over nonzeros, and
 ``restrict_action`` reads images in sparse RREF rows at their pivots with
-no solve; each builds one Fraction per nonzero output entry.
+no solve; each builds one Fraction per nonzero output entry.  The one sparse
+combination, ``int_combination``, runs over Z: the involution, automorphism
+and Jacobi checks take it on the cached integer forms of theta and of the
+structure constants.
 """
 
 from __future__ import annotations
@@ -605,7 +608,7 @@ def restrict_action(rows: Sequence[SparseVector], actions: Iterable,
     for cols, s, start in actions:
         nz = {l: [(k, c) for k, c in enumerate(cols[l]) if c] for l in support}
         for _, row in ints[start:]:
-            v = _residual(_int_combination((b, nz[l]) for l, b in row.items()), mod, mod_scale)
+            v = _residual(int_combination((b, nz[l]) for l, b in row.items()), mod, mod_scale)
             out.append(None if _residual(v, ints, scale)
                        else rationals([v.get(p, 0) for p, _ in ints], s * scale * mod_scale))
     return out
@@ -620,23 +623,15 @@ def _scaled_rows(rows: Sequence[SparseVector]) -> Tuple[List[Tuple[int, Dict[int
 
 def _residual(v: Dict[int, int], rows, scale: int) -> Dict[int, int]:
     """scale * v - sum v[p] * row over the (p, row) pairs of _scaled_rows: zero at each p."""
-    return _int_combination([(scale, v.items())]
+    return int_combination([(scale, v.items())]
                             + [(-v[p], row.items()) for p, row in rows if p in v])
 
 
-def _int_combination(terms: Iterable) -> Dict[int, int]:
-    """sparse_combination over the ints, where no Fraction may enter."""
+def int_combination(terms: Iterable) -> Dict[int, int]:
+    """The nonzeros of sum c * row over (c, row) terms, each row a sequence of
+    (index, value): over Z, so no Fraction enters."""
     acc: Dict[int, int] = {}
     for c, row in terms:
         for k, a in row:
             acc[k] = acc.get(k, 0) + c * a
-    return {k: a for k, a in acc.items() if a}
-
-
-def sparse_combination(terms: Iterable) -> SparseVector:
-    """The nonzeros of sum c * row over (c, row) terms, each row a sequence of (index, value)."""
-    acc: SparseVector = {}
-    for c, row in terms:
-        for k, a in row:
-            acc[k] = acc.get(k, ZERO) + c * a
     return {k: a for k, a in acc.items() if a}

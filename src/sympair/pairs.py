@@ -13,6 +13,10 @@ Built-in families:
                  diagonal copy, s = {(X, -X)}.
   quadratic_ext  g = gl_n over Q(sqrt(d)) viewed over Q, theta is the
                  Galois conjugation, h = gl_n(Q), s = sqrt(d) gl_n(Q).
+
+A pair scales theta once to the integer columns T = t theta (``theta_int``).
+The involution and automorphism checks, theta_apply, in_h, in_gsigma and the
+theta action of subpair_on all run over Z on T and ``int_structure``.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from .linalg import (
     Matrix,
     SparseVector,
     Vector,
-    _int_combination,
     coords_in_basis,
     echelon_subspace,
+    int_combination,
     integer_scaled,
     inverse,
     is_nilpotent_matrix,
@@ -46,7 +50,6 @@ from .linalg import (
     restrict_action,
     shift_diagonal,
     solve_many,
-    sparse_combination,
 )
 from .scalars import ONE, ZERO, rat
 
@@ -81,12 +84,13 @@ class SymmetricPair:
         self.family = family
         self.inner_n = inner_n
         self.disc = disc
-        # theta e_j as its nonzeros (i, theta[i][j]), so applying theta skips zeros.
-        cols = self._theta_cols = [tuple((i, row[j]) for i, row in enumerate(theta.rows) if row[j])
-                                   for j in range(d)]
+        # theta e_j over Z: the nonzeros (i, T[i][j]) of T = t theta.
+        rows, t = theta.integer_rows()
+        cols = [[(i, row[j]) for i, row in enumerate(rows) if row[j]] for j in range(d)]
+        self.theta_int = cols, t
         for j in range(d):
-            # theta(theta e_j) = e_j
-            if sparse_combination((c, cols[i]) for i, c in cols[j]) != {j: ONE}:
+            # theta(theta e_j) = e_j, that is T T e_j = t^2 e_j
+            if int_combination((c, cols[i]) for i, c in cols[j]) != {j: t * t}:
                 raise ShapeError("theta is not an involution")
         self._check_automorphism()
 
@@ -106,15 +110,15 @@ class SymmetricPair:
     # -- invariant checks ---------------------------------------------------
 
     def _check_automorphism(self):
-        """theta[e_i, e_j] = [theta e_i, theta e_j] for every i < j, over nonzeros."""
-        g, cols = self.algebra, self._theta_cols
-        for i in range(g.dim):
-            for j in range(i + 1, g.dim):
-                lhs = sparse_combination((c, cols[k]) for k, c in g.sparse_row(i, j))
-                rhs = sparse_combination((s * t, g.sparse_row(a, b))
-                                         for a, s in cols[i] for b, t in cols[j])
-                if lhs != rhs:
-                    raise ShapeError("theta is not a Lie algebra automorphism at (%d, %d)" % (i, j))
+        """theta[e_i, e_j] = [theta e_i, theta e_j] for every i < j, over nonzeros and
+        over Z: with C = s c and T = t theta, t sum_k C_ijk T_k = sum T_ai T_bj C_ab."""
+        rows, (cols, t) = self.algebra.int_structure[0], self.theta_int
+        for i, j in itertools.combinations(range(len(rows)), 2):
+            lhs = int_combination((t * c, cols[k]) for k, c in rows[i].get(j, ()))
+            rhs = int_combination((x * y, rows[a].get(b, ()))
+                                  for a, x in cols[i] for b, y in cols[j])
+            if lhs != rhs:
+                raise ShapeError("theta is not a Lie algebra automorphism at (%d, %d)" % (i, j))
 
     def _check_orthogonality(self):
         hb = Matrix(self.h_basis) if self.h_basis else None
@@ -148,13 +152,6 @@ class SymmetricPair:
         """gsigma_basis by nonzeros, built on first read."""
         return [nonzeros(b) for b in self.gsigma_basis]
 
-    @cached_property
-    def _theta_int_cols(self) -> Tuple[List[List[Tuple[int, int]]], int]:
-        """_theta_cols over Z: the nonzeros (i, c) of t theta e_j, and t."""
-        ints, t = integer_scaled([c for col in self._theta_cols for _, c in col])
-        it = iter(ints)
-        return [[(i, next(it)) for i, _ in col] for col in self._theta_cols], t
-
     def theta_apply(self, v: Vector) -> Vector:
         _, image, s, t = self._theta_over_z(v)
         return rationals([image.get(i, 0) for i in range(self.dim_g)], s * t)
@@ -172,9 +169,9 @@ class SymmetricPair:
         if len(v) != self.dim_g:
             raise ShapeError("theta operand must have length %d" % self.dim_g)
         ints, s = integer_scaled(v)
-        cols, t = self._theta_int_cols
+        cols, t = self.theta_int
         nz = {j: a for j, a in enumerate(ints) if a}
-        return nz, _int_combination((a, cols[j]) for j, a in nz.items()), s, t
+        return nz, int_combination((a, cols[j]) for j, a in nz.items()), s, t
 
     def centralizer_in(self, x: Vector, subspace: Sequence[Vector]) -> List[Vector]:
         """Echelon basis of {v in span(subspace) : [x, v] = 0}, in g coordinates.
@@ -465,9 +462,11 @@ def subpair_on(pair: SymmetricPair, basis: Sequence[Vector]) -> SymmetricPair:
         raise PreconditionError("cannot restrict to the zero subspace")
     g = pair.algebra
     brackets = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    cols, scale = pair.theta_int
+    theta_cols = [[c.get(m, 0) for m in range(g.dim)] for c in map(dict, cols)]
     coords = restrict_action([nonzeros(b) for b in basis], itertools.chain(
         (g.ad_columns(b) + (i + 1,) for i, b in enumerate(basis[:-1])),
-        [pair.theta.transpose().integer_rows() + (0,)]))
+        [(theta_cols, scale, 0)]))
     if None in coords:
         t = coords.index(None)
         what = ("closed under bracket: [b_%d, b_%d]" % brackets[t] if t < len(brackets)

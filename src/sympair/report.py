@@ -166,7 +166,9 @@ def _build_custom_pair(custom: dict) -> SymmetricPair:
               for cell in _expect_list(row, dim, "structure_constants row")]
              for row in _expect_list(custom.get("structure_constants"), dim,
                                      "structure_constants")]
-    labels = custom.get("basis_labels") or ["e%d" % (i + 1) for i in range(dim)]
+    labels = custom.get("basis_labels")
+    if labels is None:
+        labels = ["e%d" % (i + 1) for i in range(dim)]
     if (not isinstance(labels, list) or len(labels) != dim
             or not all(isinstance(label, str) for label in labels)):
         raise InputError("basis_labels must be a list of dim strings")

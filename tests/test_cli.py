@@ -379,6 +379,11 @@ class TestCustomSpecShapes:
         ("theta", 5),                                  # theta itself
         ("theta", [5, 6]),                             # theta rows
         ("basis_labels", 5),
+        ("basis_labels", False),                       # falsy values are not a missing key
+        ("basis_labels", ""),
+        ("basis_labels", []),
+        ("basis_labels", 0),
+        ("basis_labels", {}),
     ])
     def test_malformed_level_exits_2(self, capsys, tmp_path, key, value):
         doc = TestCustomSpec()._custom_doc()

@@ -1,7 +1,7 @@
 """The integer restriction route (linalg.restrict_action) against the
 Fraction route it replaced, which is kept here as the reference:
-bracket_sparse and echelon_reduce for restricted_ad, and the pairwise
-brackets and one solve_many for subpair_on.
+bracket_sparse and echelon_reduce (on a Fraction sparse_combination) for
+restricted_ad, and the pairwise brackets and one solve_many for subpair_on.
 
 Stable spans are drawn as Krylov closures under ad h, so they come with
 denominators and are ad h-stable by construction; unstable ones must raise
@@ -27,7 +27,6 @@ from sympair.linalg import (
     nonzeros,
     restrict_action,
     solve_many,
-    sparse_combination,
 )
 from sympair.pairs import make_diagonal_pair, make_quadratic_ext_pair, subpair_on
 from sympair.sl2 import restricted_ad
@@ -40,6 +39,15 @@ PAIRS.update({("quadratic_ext", n, d): make_quadratic_ext_pair(n, d)
 # ---------------------------------------------------------------------------
 # The replaced Fraction route
 # ---------------------------------------------------------------------------
+
+def sparse_combination(terms):
+    """The nonzeros of sum c * row over (c, row) terms, each row a sequence of (index, value)."""
+    acc = {}
+    for c, row in terms:
+        for k, a in row:
+            acc[k] = acc.get(k, F(0)) + c * a
+    return {k: a for k, a in acc.items() if a}
+
 
 def echelon_reduce(rows, v):
     """(coords, remainder) of v against sparse RREF rows.
